@@ -1,5 +1,5 @@
 // Shared helpers for the figure benches: client-list collection, strict flag
-// parsing (--csv, --scale, --json, --seed, --legacy-queue), percentage
+// parsing (--csv, --scale, --json, --seed, --reps), percentage
 // formatting, and the self-timing perf-trajectory recorder that writes the
 // versioned BENCH_*.json schema (EXPERIMENTS.md "Perf trajectory").
 #pragma once
@@ -43,9 +43,6 @@ struct BenchArgs {
   // the best rep (interleaved across variants, so machine-wide drift on a
   // busy host hits every variant roughly equally).
   int reps = 3;
-  // --legacy-queue: run the EventLoop on the old std::priority_queue — the
-  // perf baseline ablation (same style as --legacy-copy-path).
-  bool legacy_queue = false;
   // --bricks: run the bench's brick-scaling sweep (distribute groups) in
   // addition to its headline figure. Only fig09 honours it today.
   bool bricks = false;
@@ -61,14 +58,13 @@ struct BenchArgs {
   }
   std::fprintf(stderr,
                "usage: %s [--csv] [--scale=<x>] [--json=<path>] [--seed=<n>]"
-               " [--reps=<n>] [--legacy-queue] [--bricks] [--writeback]\n"
+               " [--reps=<n>] [--bricks] [--writeback]\n"
                "  --csv           print tables as CSV\n"
                "  --scale=<x>     multiply workload volume (default 1.0)\n"
                "  --json=<path>   append perf records (BENCH_*.json schema)\n"
                "  --seed=<n>      seed for randomized mixes (default 1)\n"
                "  --reps=<n>      timing reps per config, best wins"
                " (default 3)\n"
-               "  --legacy-queue  EventLoop on the legacy priority_queue\n"
                "  --bricks        also run the brick-scaling sweep\n"
                "  --writeback     also run the write-back ablation\n",
                argv0);
@@ -92,8 +88,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
       args.reps = std::atoi(argv[i] + 7);
       if (args.reps < 1) args.reps = 1;
-    } else if (std::strcmp(argv[i], "--legacy-queue") == 0) {
-      args.legacy_queue = true;
     } else if (std::strcmp(argv[i], "--bricks") == 0) {
       args.bricks = true;
     } else if (std::strcmp(argv[i], "--writeback") == 0) {

@@ -12,13 +12,13 @@
 //     short service sleep; schedule_now-dominated, the RPC/fault-matrix
 //     shape.
 //
-// Each config runs on the hierarchical timer wheel and on the legacy
-// std::priority_queue (`--legacy-queue` restricts to the baseline only),
-// self-checks that both implementations process the identical event count
-// and final clock (the determinism contract), prints the wheel-vs-legacy
-// speedup at each N, and writes every record to BENCH_sim_core.json in the
-// versioned imca-bench/v1 schema. CI's bench-trajectory job archives the
-// JSON per commit; numbers are recorded, not gated.
+// Each config runs --reps times on the hierarchical timer wheel and
+// self-checks that every rep processes the identical event count and final
+// clock (the determinism contract: a non-deterministic kernel exits 1). The
+// best rep goes to BENCH_sim_core.json in the versioned imca-bench/v1
+// schema, under the record names `sim_core/<mix>/n=<N>/wheel`. CI's
+// bench-trajectory job archives the JSON per commit; numbers are recorded,
+// not gated.
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -37,7 +37,6 @@ using namespace imca;
 using namespace imca::bench;
 using sim::Channel;
 using sim::EventLoop;
-using sim::QueueImpl;
 using sim::Task;
 
 // Deterministic per-client stream (xorshift64*); seeded from --seed and the
@@ -106,8 +105,8 @@ struct RpcPair {
 };
 
 MixResult run_timer_mix(std::size_t n_clients, std::uint64_t seed,
-                        QueueImpl impl, std::uint64_t target_events) {
-  EventLoop loop(impl);
+                        std::uint64_t target_events) {
+  EventLoop loop;
   const std::size_t iters =
       static_cast<std::size_t>(target_events / n_clients);
   for (std::size_t id = 0; id < n_clients; ++id) {
@@ -126,8 +125,8 @@ MixResult run_timer_mix(std::size_t n_clients, std::uint64_t seed,
 }
 
 MixResult run_rpc_mix(std::size_t n_clients, std::uint64_t seed,
-                      QueueImpl impl, std::uint64_t target_events) {
-  EventLoop loop(impl);
+                      std::uint64_t target_events) {
+  EventLoop loop;
   const std::size_t n_pairs = n_clients / 2;
   // ~6 kernel events per RPC round trip (send wakeup, service sleep, reply
   // wakeup, think sleep, plus spawn/finish amortization).
@@ -154,14 +153,9 @@ MixResult run_rpc_mix(std::size_t n_clients, std::uint64_t seed,
 }
 
 MixResult run_mix(const char* mix, std::size_t n, std::uint64_t seed,
-                  QueueImpl impl, std::uint64_t target_events) {
-  return std::string(mix) == "timer"
-             ? run_timer_mix(n, seed, impl, target_events)
-             : run_rpc_mix(n, seed, impl, target_events);
-}
-
-const char* impl_name(QueueImpl impl) {
-  return impl == QueueImpl::kTimerWheel ? "wheel" : "legacy";
+                  std::uint64_t target_events) {
+  return std::string(mix) == "timer" ? run_timer_mix(n, seed, target_events)
+                                     : run_rpc_mix(n, seed, target_events);
 }
 
 }  // namespace
@@ -177,78 +171,55 @@ int main(int argc, char** argv) {
   const auto target_events =
       static_cast<std::uint64_t>(4e6 * args.scale);
 
-  std::printf("== sim_core_bench: DES kernel events/sec, %s default queue"
+  std::printf("== sim_core_bench: DES kernel events/sec, timer wheel"
               " (seed=%" PRIu64 ", target %" PRIu64 " events/config) ==\n",
-              args.legacy_queue ? "legacy priority_queue" : "timer wheel",
               args.seed, target_events);
 
-  Table table({"mix", "clients", "impl", "events", "wall_ms", "Mev/s",
-               "cascades", "arena_KiB", "reuse%"});
+  Table table({"mix", "clients", "events", "wall_ms", "Mev/s", "cascades",
+               "arena_KiB", "reuse%"});
   std::vector<BenchRecord> records;
   bool self_check_failed = false;
 
   for (const char* mix : mixes) {
     for (const std::size_t n : client_counts) {
-      // Best-of-reps, with the two implementations interleaved inside each
-      // rep: on a shared/noisy host, machine-wide drift (frequency steps,
-      // neighbor load) then hits wheel and legacy about equally, so the
-      // reported speedup is stable even when absolute rates wander.
-      MixResult wheel{}, legacy{};
+      // Best-of-reps; every rep must replay the first one exactly.
+      MixResult best{};
       for (int rep = 0; rep < args.reps; ++rep) {
-        MixResult w{}, l{};
-        if (!args.legacy_queue) {
-          // ...and always the legacy baseline too, so one invocation prints
-          // the before/after trajectory and cross-checks determinism.
-          w = run_mix(mix, n, args.seed, QueueImpl::kTimerWheel,
-                      target_events);
-        }
-        l = run_mix(mix, n, args.seed, QueueImpl::kLegacyHeap, target_events);
-        if (!args.legacy_queue &&
-            (w.events != l.events || w.final_now != l.final_now)) {
+        const MixResult r = run_mix(mix, n, args.seed, target_events);
+        if (rep > 0 &&
+            (r.events != best.events || r.final_now != best.final_now)) {
           std::fprintf(stderr,
-                       "SELF-CHECK FAILED %s/n=%zu: wheel {events=%" PRIu64
-                       " now=%" PRIu64 "} vs legacy {events=%" PRIu64
+                       "SELF-CHECK FAILED %s/n=%zu: rep %d {events=%" PRIu64
+                       " now=%" PRIu64 "} vs {events=%" PRIu64
                        " now=%" PRIu64 "}\n",
-                       mix, n, w.events, w.final_now, l.events, l.final_now);
+                       mix, n, rep, r.events, r.final_now, best.events,
+                       best.final_now);
           self_check_failed = true;
         }
-        if (rep == 0 || w.events_per_sec > wheel.events_per_sec) wheel = w;
-        if (rep == 0 || l.events_per_sec > legacy.events_per_sec) legacy = l;
+        if (rep == 0 || r.events_per_sec > best.events_per_sec) best = r;
       }
 
-      for (const QueueImpl impl :
-           {QueueImpl::kTimerWheel, QueueImpl::kLegacyHeap}) {
-        if (args.legacy_queue && impl == QueueImpl::kTimerWheel) continue;
-        const MixResult& r =
-            impl == QueueImpl::kTimerWheel ? wheel : legacy;
-        table.add_row(
-            {mix, Table::cell(static_cast<std::uint64_t>(n)),
-             impl_name(impl), Table::cell(r.events),
-             Table::cell(r.wall_ms, 1), Table::cell(r.events_per_sec / 1e6, 2),
-             Table::cell(r.stats.cascades),
-             Table::cell(r.stats.arena_bytes / 1024),
-             Table::cell(r.stats.events_scheduled
-                             ? 100.0 * static_cast<double>(r.stats.arena_reuse) /
-                                   static_cast<double>(r.stats.events_scheduled)
-                             : 0.0,
-                         1)});
-        BenchRecord rec;
-        rec.bench = std::string("sim_core/") + mix + "/n=" +
-                    std::to_string(n) + "/" + impl_name(impl);
-        rec.events = r.events;
-        rec.wall_ms = r.wall_ms;
-        rec.events_per_sec = r.events_per_sec;
-        rec.peak_rss_kb = peak_rss_kb();
-        records.push_back(std::move(rec));
-      }
-
-      if (!args.legacy_queue && legacy.events_per_sec > 0) {
-        std::printf("# %s n=%zu: wheel %.2f Mev/s vs legacy %.2f Mev/s ->"
-                    " %.2fx\n",
-                    mix, n, wheel.events_per_sec / 1e6,
-                    legacy.events_per_sec / 1e6,
-                    wheel.events_per_sec / legacy.events_per_sec);
-      }
+      table.add_row(
+          {mix, Table::cell(static_cast<std::uint64_t>(n)),
+           Table::cell(best.events), Table::cell(best.wall_ms, 1),
+           Table::cell(best.events_per_sec / 1e6, 2),
+           Table::cell(best.stats.cascades),
+           Table::cell(best.stats.arena_bytes / 1024),
+           Table::cell(best.stats.events_scheduled
+                           ? 100.0 *
+                                 static_cast<double>(best.stats.arena_reuse) /
+                                 static_cast<double>(
+                                     best.stats.events_scheduled)
+                           : 0.0,
+                       1)});
+      BenchRecord rec;
+      rec.bench = std::string("sim_core/") + mix + "/n=" + std::to_string(n) +
+                  "/wheel";
+      rec.events = best.events;
+      rec.wall_ms = best.wall_ms;
+      rec.events_per_sec = best.events_per_sec;
+      rec.peak_rss_kb = peak_rss_kb();
+      records.push_back(std::move(rec));
     }
   }
   print_table(table, args);

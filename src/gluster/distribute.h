@@ -13,9 +13,7 @@
 // only then unlinks the source. If that final unlink cannot be delivered,
 // the rename is still committed: the leftover source name is recorded as a
 // pending unlink, hidden from every fop, and physically reaped on the next
-// touch (replay-window idempotence at the DHT layer). `legacy_rename`
-// preserves the pre-fix sequence — unlink(to) before create(to) — so the
-// crash-window regression test can demonstrate both of its failure modes.
+// touch (replay-window idempotence at the DHT layer).
 //
 // A subvolume is any xlator: a ProtocolClient for plain N-brick distribute,
 // or a ReplicateXlator for the distribute-over-replicate N x K brick grids
@@ -34,8 +32,7 @@
 namespace imca::gluster {
 
 struct DistributeParams {
-  std::size_t vnodes = 128;    // ring points per subvolume
-  bool legacy_rename = false;  // pre-fix non-atomic cross-brick rename
+  std::size_t vnodes = 128;  // ring points per subvolume
 };
 
 struct DistributeStats {

@@ -38,17 +38,13 @@ struct WriteBehindParams {
   // true = ack only after the buffered run reached the child (durable acks).
   bool flush_before_ack = false;
   // >0 = flush a run at most this long after its first byte was buffered.
-  // Requires the loop-taking constructor.
   SimDuration flush_deadline = 0;
 };
 
 class WriteBehindXlator final : public Xlator {
  public:
-  explicit WriteBehindXlator(std::uint64_t flush_threshold = 128 * kKiB) {
-    params_.flush_threshold = flush_threshold;
-  }
   WriteBehindXlator(sim::EventLoop& loop, WriteBehindParams params)
-      : loop_(&loop), params_(params) {}
+      : loop_(loop), params_(params) {}
 
   sim::Task<Expected<std::uint64_t>> write(std::string path,
                                            std::uint64_t offset,
@@ -96,7 +92,7 @@ class WriteBehindXlator final : public Xlator {
     return !buf_.empty() && path == buf_path_;
   }
 
-  sim::EventLoop* loop_ = nullptr;  // null in the legacy constructor
+  sim::EventLoop& loop_;
   WriteBehindParams params_;
   // Liveness token for detached deadline tasks: the loop owns their frames,
   // not this xlator, so they hold a weak_ptr and bail out if it expired

@@ -6,7 +6,6 @@ namespace imca::sim {
 
 namespace {
 
-bool g_legacy_event_queue = false;
 std::uint64_t g_default_tie_shake = 0;
 
 // Wrapper coroutine that owns a spawned task for its whole lifetime. The
@@ -35,11 +34,6 @@ Detached detach_and_count(Task<void> task, std::size_t& live) {
 }
 }  // namespace
 
-void set_legacy_event_queue(bool legacy) noexcept {
-  g_legacy_event_queue = legacy;
-}
-bool legacy_event_queue() noexcept { return g_legacy_event_queue; }
-
 void set_default_tie_shake(std::uint64_t seed) noexcept {
   g_default_tie_shake = seed;
 }
@@ -52,23 +46,17 @@ void EventLoop::schedule_at(SimTime at, std::coroutine_handle<> h) {
     ++past_clamps_;
   }
   ++scheduled_;
-  if (impl_ == QueueImpl::kTimerWheel) {
-    // A near-term schedule (channel handoffs, schedule_now chains, short
-    // device-tick sleeps) resumes soon; its coroutine frame went cold while
-    // parked, so start the line fill now — by resume time it has at worst
-    // decayed to an outer-cache hit instead of a full memory stall. Longer
-    // sleeps are warmed later, by the level-1 cascade that precedes their
-    // resume (TimerWheel::cascade_slot).
-    constexpr SimTime kFramePrefetchHorizon = 4096;
-    if (at - now_ <= kFramePrefetchHorizon) {
-      detail::prefetch_frame(h.address());
-    }
-    wheel_.insert(arena_.alloc(at, seq_++, h));
-  } else {
-    const std::uint64_t key =
-        shake_seed_ != 0 ? detail::shake_key(shake_seed_, seq_) : seq_;
-    heap_.push(HeapEntry{at, key, seq_++, h});
+  // A near-term schedule (channel handoffs, schedule_now chains, short
+  // device-tick sleeps) resumes soon; its coroutine frame went cold while
+  // parked, so start the line fill now — by resume time it has at worst
+  // decayed to an outer-cache hit instead of a full memory stall. Longer
+  // sleeps are warmed later, by the level-1 cascade that precedes their
+  // resume (TimerWheel::cascade_slot).
+  constexpr SimTime kFramePrefetchHorizon = 4096;
+  if (at - now_ <= kFramePrefetchHorizon) {
+    detail::prefetch_frame(h.address());
   }
+  wheel_.insert(arena_.alloc(at, seq_++, h));
 }
 
 void EventLoop::spawn(Task<void> task) {
@@ -78,56 +66,30 @@ void EventLoop::spawn(Task<void> task) {
 }
 
 std::coroutine_handle<> EventLoop::take_next() {
-  if (impl_ == QueueImpl::kTimerWheel) {
-    EventNode* e = wheel_.pop_min();
-    now_ = e->at;
-    if (trace_ != nullptr) trace_->emplace_back(e->at, e->seq);
-    const std::coroutine_handle<> h = e->handle;
-    // Copy-out complete and the node is unlinked: recycle it before the
-    // resume so the steady path's next schedule_at reuses it cache-hot.
-    arena_.release(e);
-    return h;
-  }
-  const HeapEntry e = heap_.top();
-  heap_.pop();
-  now_ = e.at;
-  if (trace_ != nullptr) trace_->emplace_back(e.at, e.seq);
-  return e.handle;
+  EventNode* e = wheel_.pop_min();
+  now_ = e->at;
+  if (trace_ != nullptr) [[unlikely]] trace_->emplace_back(e->at, e->seq);
+  const std::coroutine_handle<> h = e->handle;
+  // Copy-out complete and the node is unlinked: recycle it before the
+  // resume so the steady path's next schedule_at reuses it cache-hot.
+  arena_.release(e);
+  return h;
 }
 
 std::uint64_t EventLoop::run() {
   std::uint64_t n = 0;
-  if (impl_ == QueueImpl::kTimerWheel) {
-    while (!wheel_.empty()) {
-      EventNode* e = wheel_.pop_min();
-      now_ = e->at;
-      if (trace_ != nullptr) [[unlikely]] trace_->emplace_back(e->at, e->seq);
-      const std::coroutine_handle<> h = e->handle;
-      // Copy-out complete and the node is unlinked: recycle it before the
-      // resume so the steady path's next schedule_at reuses it cache-hot.
-      arena_.release(e);
-      ++n;
-      ++processed_;
-      h.resume();
-    }
-  } else {
-    while (!heap_.empty()) {
-      const std::coroutine_handle<> h = take_next();
-      ++n;
-      ++processed_;
-      h.resume();
-    }
+  while (!wheel_.empty()) {
+    const std::coroutine_handle<> h = take_next();
+    ++n;
+    ++processed_;
+    h.resume();
   }
   return n;
 }
 
 std::uint64_t EventLoop::run_until(SimTime deadline) {
   std::uint64_t n = 0;
-  while (!idle()) {
-    const SimTime next = impl_ == QueueImpl::kTimerWheel
-                             ? wheel_.peek_min_time()
-                             : heap_.top().at;
-    if (next > deadline) break;
+  while (!wheel_.empty() && wheel_.peek_min_time() <= deadline) {
     const std::coroutine_handle<> h = take_next();
     ++n;
     ++processed_;

@@ -6,25 +6,21 @@
 // timestamps resume in FIFO order (a monotone sequence number breaks ties),
 // which makes every experiment bit-for-bit reproducible.
 //
-// Two queue implementations share that contract (DESIGN.md §5h):
-//
-//   * kTimerWheel (default) — a 4-level × 256-slot hierarchical timing wheel
-//     (Varghese & Lauck) of intrusive doubly-linked EventNode lists with
-//     per-level occupancy bitmaps, arena-allocated nodes (event_arena.h) and
-//     an unsorted far-future overflow list for events ≥ 2^32 ns ahead.
-//     schedule/pop are O(1) amortized and allocation-free at steady state.
-//   * kLegacyHeap — the original std::priority_queue, kept as the perf
-//     baseline (`bench/sim_core_bench --legacy-queue`, in the style of the
-//     buffer layer's --legacy-copy-path) and as the determinism oracle: both
-//     impls must produce identical (time, seq) resume traces, pinned by
-//     tests/sim_wheel_test.cc and the fault-matrix --legacy-queue diff.
+// The queue is a 4-level × 256-slot hierarchical timing wheel (Varghese &
+// Lauck) of intrusive doubly-linked EventNode lists with per-level
+// occupancy bitmaps, arena-allocated nodes (event_arena.h) and an unsorted
+// far-future overflow list for events ≥ 2^32 ns ahead. schedule/pop are
+// O(1) amortized and allocation-free at steady state. Its resume order is
+// exactly the global sort of events by (time, seq) — the order a binary
+// heap would produce — which tests/sim_wheel_test.cc checks as a
+// sortedness property and the fault-matrix golden transcripts pin at
+// system scale (DESIGN.md §5h).
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -52,18 +48,10 @@ struct EventLoopStats {
   std::uint64_t tie_shaken = 0;
 };
 
-enum class QueueImpl { kTimerWheel, kLegacyHeap };
-
-// Process-wide default for EventLoop's queue implementation, so ablation
-// flags can flip testbeds they never construct directly (exactly how
-// set_legacy_copy_path works for the buffer layer).
-void set_legacy_event_queue(bool legacy) noexcept;
-bool legacy_event_queue() noexcept;
-
-// Process-wide default tie-shake seed, consumed by EventLoop's default
-// constructor (same pattern as set_legacy_event_queue): harness drivers set
-// it from --shake=SEED before building a testbed they never construct the
-// loop of. 0 = plain FIFO tie-break (bit-for-bit today's schedules).
+// Process-wide default tie-shake seed, consumed by EventLoop's constructor:
+// harness drivers set it from --shake=SEED before building a testbed they
+// never construct the loop of. 0 = plain FIFO tie-break (bit-for-bit
+// today's schedules).
 void set_default_tie_shake(std::uint64_t seed) noexcept;
 std::uint64_t default_tie_shake() noexcept;
 
@@ -72,9 +60,7 @@ namespace detail {
 // Deterministic per-event shake key (splitmix64 over seed ^ seq). Under
 // schedule-shake, equal-timestamp events resume in ascending (key, seq)
 // order instead of plain seq order: a seeded, reproducible permutation of
-// every FIFO tie the kernel would otherwise pin. Both queue implementations
-// derive the key from the same (seed, seq) pair, so wheel and legacy heap
-// produce identical shaken traces.
+// every FIFO tie the kernel would otherwise pin.
 inline std::uint64_t shake_key(std::uint64_t seed, std::uint64_t seq) noexcept {
   std::uint64_t x = seed ^ (seq + 0x9e3779b97f4a7c15ULL);
   x ^= x >> 30;
@@ -131,6 +117,7 @@ class TimerWheel {
   // Timestamp order is untouched — only FIFO ties are permuted — so every
   // shaken run is still a legal schedule of the same simulation.
   void set_tie_shake(std::uint64_t seed) noexcept { shake_seed_ = seed; }
+  std::uint64_t tie_shake() const noexcept { return shake_seed_; }
 
   // Pre: n->at >= the last popped timestamp (enforced by EventLoop's clamp).
   void insert(EventNode* n) noexcept {
@@ -418,12 +405,7 @@ class TimerWheel {
 
 class EventLoop {
  public:
-  EventLoop()
-      : EventLoop(legacy_event_queue() ? QueueImpl::kLegacyHeap
-                                       : QueueImpl::kTimerWheel) {}
-  explicit EventLoop(QueueImpl impl) noexcept : impl_(impl) {
-    set_tie_shake(default_tie_shake());
-  }
+  EventLoop() { set_tie_shake(default_tie_shake()); }
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -466,12 +448,9 @@ class EventLoop {
   // exactly `deadline` are processed. Returns events processed.
   std::uint64_t run_until(SimTime deadline);
 
-  bool idle() const noexcept {
-    return impl_ == QueueImpl::kTimerWheel ? wheel_.empty() : heap_.empty();
-  }
+  bool idle() const noexcept { return wheel_.empty(); }
   std::uint64_t events_processed() const noexcept { return processed_; }
   std::size_t live_tasks() const noexcept { return live_tasks_; }
-  QueueImpl queue_impl() const noexcept { return impl_; }
 
   EventLoopStats stats() const noexcept {
     return EventLoopStats{scheduled_, wheel_.cascades(), arena_.bytes(),
@@ -483,17 +462,14 @@ class EventLoop {
   // becomes a seeded draw — so code whose correctness silently leans on the
   // kernel's FIFO tie-break fails loudly under an executable interleaving
   // search. 0 restores plain FIFO, bit-for-bit identical to an unshaken
-  // run. Call before the first schedule_at: the legacy heap keys entries at
-  // push time, the wheel at pop time, so a mid-run change would let the two
-  // implementations diverge.
+  // run.
   void set_tie_shake(std::uint64_t seed) noexcept {
-    shake_seed_ = seed;
     wheel_.set_tie_shake(seed);
   }
-  std::uint64_t tie_shake() const noexcept { return shake_seed_; }
+  std::uint64_t tie_shake() const noexcept { return wheel_.tie_shake(); }
 
   // Test hook: record every resume as a (time, seq) pair — the determinism
-  // pin compares these traces across queue implementations. Null disables.
+  // pin checks these traces against the (time, seq) sort. Null disables.
   void set_trace(
       std::vector<std::pair<SimTime, std::uint64_t>>* sink) noexcept {
     trace_ = sink;
@@ -510,34 +486,15 @@ class EventLoop {
     void await_resume() const noexcept {}
   };
 
-  struct HeapEntry {
-    SimTime at;
-    // Tie-break among equal timestamps: (key, seq). Unshaken runs push
-    // key == seq so the pair degenerates to plain FIFO; shaken runs push
-    // detail::shake_key(seed, seq), matching the wheel's pop-time draw.
-    std::uint64_t key;
-    std::uint64_t seq;
-    std::coroutine_handle<> handle;
-    bool operator>(const HeapEntry& other) const noexcept {
-      if (at != other.at) return at > other.at;
-      if (key != other.key) return key > other.key;
-      return seq > other.seq;
-    }
-  };
-
   // Pop the earliest event, advance the clock, record the trace, and hand
   // back the coroutine to resume. Pre: !idle().
   std::coroutine_handle<> take_next();
 
-  QueueImpl impl_;
   detail::TimerWheel wheel_;
   EventArena arena_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      heap_;
   std::vector<std::pair<SimTime, std::uint64_t>>* trace_ = nullptr;
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t shake_seed_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t past_clamps_ = 0;

@@ -1,10 +1,10 @@
 // cluster/distribute unit drills (DESIGN.md §5i): consistent-hash ring
 // stability under add_brick (~1/(N+1) of the namespace moves, not the ~N/(N+1)
 // a `hash % N` ring would), remove_brick migrating exactly the removed
-// subvolume's files, and the cross-brick rename crash window — the legacy
-// unlink-before-create sequence destroys the replace target when the
-// destination brick dies mid-rename, while the staged atomic-swap sequence
-// leaves it intact.
+// subvolume's files, and the cross-brick rename crash window — the pre-fix
+// unlink-before-create sequence (replayed here by a test-local helper)
+// destroys the replace target when the destination brick dies mid-rename,
+// while the shipped staged atomic-swap sequence leaves it intact.
 //
 // Note: gtest ASSERT_* macros use `return` and cannot appear inside a
 // coroutine body, so the tests guard with EXPECT_* + early co_return.
@@ -54,6 +54,25 @@ Task<void> crash_on_first_mutation(EventLoop* loop,
     co_await loop->sleep(1);
   }
   victim->crash();
+}
+
+// The pre-fix cross-brick rename, driven straight at the subvolumes: a crash
+// between unlink(to) and create(to) loses the target; a crash between
+// write(to) and unlink(from) leaves the file under both names.
+Task<Expected<void>> unsafe_cross_rename(gluster::DistributeXlator& dht,
+                                         std::string from, std::string to) {
+  gluster::Xlator& src = dht.subvol(dht.subvol_of(from));
+  gluster::Xlator& dst = dht.subvol(dht.subvol_of(to));
+  auto attr = co_await src.stat(from);
+  if (!attr) co_return attr.error();
+  auto data = co_await src.read(from, 0, attr->size);
+  if (!data) co_return data.error();
+  (void)co_await dst.unlink(to);
+  auto created = co_await dst.create(to, attr->mode);
+  if (!created) co_return created.error();
+  auto w = co_await dst.write(to, 0, std::move(*data));
+  if (!w) co_return w.error();
+  co_return co_await src.unlink(from);
 }
 
 class DistributeTest : public ::testing::Test {
@@ -179,9 +198,7 @@ TEST_F(DistributeTest, RemoveBrickMigratesExactlyItsFiles) {
 // failure must leave the replace target either old or new, never destroyed.
 
 TEST_F(DistributeTest, LegacyRenameCrashWindowDestroysReplaceTarget) {
-  gluster::DistributeParams dp;
-  dp.legacy_rename = true;
-  build(dp);
+  build();
   run([](DistributeTest& t) -> Task<void> {
     auto& dht = *t.dht_;
     const std::string from = "/r/src";
@@ -197,7 +214,7 @@ TEST_F(DistributeTest, LegacyRenameCrashWindowDestroysReplaceTarget) {
 
     gluster::GlusterServer* dst = t.servers_[dht.subvol_of(to)].get();
     t.loop_.spawn(crash_on_first_mutation(&t.loop_, dst, dst, to));
-    auto r = co_await dht.rename(from, to);
+    auto r = co_await unsafe_cross_rename(dht, from, to);
     EXPECT_FALSE(r.has_value());  // destination died mid-sequence
 
     dst->restart();
@@ -211,8 +228,6 @@ TEST_F(DistributeTest, LegacyRenameCrashWindowDestroysReplaceTarget) {
     EXPECT_TRUE(src.has_value());
     if (src) { EXPECT_EQ(to_string(*src), "payload"); }
   }(*this));
-  EXPECT_EQ(dht_->stats().cross_renames, 1u);
-  EXPECT_EQ(dht_->stats().stage_commits, 0u);
 }
 
 TEST_F(DistributeTest, StagedRenameCrashWindowLeavesTargetIntact) {

@@ -78,10 +78,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--legacy-queue") == 0) {
-      // Determinism oracle hook: tests/cmake/compare_queue_impls.cmake
-      // diffs this output byte-for-byte against the timer-wheel default.
-      imca::sim::set_legacy_event_queue(true);
     } else if (std::strncmp(argv[i], "--shake=", 8) == 0) {
       // Schedule-shake validator hook (DESIGN.md Â§5k): deterministically
       // permute equal-timestamp resume order for every EventLoop this
@@ -91,8 +87,7 @@ int main(int argc, char** argv) {
       imca::sim::set_default_tie_shake(
           std::strtoull(argv[i] + 8, nullptr, 10));
     } else {
-      std::fprintf(stderr, "usage: %s [--seed=N] [--legacy-queue] [--shake=N]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--seed=N] [--shake=N]\n", argv[0]);
       return 2;
     }
   }

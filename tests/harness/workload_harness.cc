@@ -487,7 +487,8 @@ ReplayResult run_seeded(std::uint64_t seed, std::size_t n_ops,
 }
 
 std::string format_op(const Op& op) {
-  const std::string f = "f" + std::to_string(op.file % kFiles);
+  std::string f = "f";
+  f += std::to_string(op.file % kFiles);
   switch (op.kind) {
     case Op::Kind::kWrite:
       return "W " + f + " @" + std::to_string(op.offset) + "+" +

@@ -188,7 +188,9 @@ TEST_F(FailoverTest, FlushAllToleratesDeadServer) {
   run([](FailoverTest& t, McClient& cl,
          SimDuration& out) -> sim::Task<void> {
     for (int i = 0; i < 30; ++i) {
-      (void)co_await cl.set("k" + std::to_string(i), to_buffer("v"));
+      std::string key = "k";
+      key += std::to_string(i);
+      (void)co_await cl.set(key, to_buffer("v"));
     }
     t.servers_[0]->stop();
     (void)co_await cl.get(key_for(cl, 0));  // refused: marks daemon 0 dead

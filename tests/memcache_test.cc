@@ -183,7 +183,9 @@ TEST(Cache, GetRefreshesLruOrder) {
   // surviving items are w1..wN with w1 the least recently used.
   std::size_t n = 0;
   while (c.stats().evictions == 0) {
-    ASSERT_TRUE(c.set("w" + std::to_string(n), 0, 0, blob(item_size), 0));
+    std::string key = "w";
+    key += std::to_string(n);
+    ASSERT_TRUE(c.set(key, 0, 0, blob(item_size), 0));
     ++n;
   }
   ASSERT_GT(n, 3u);
@@ -198,7 +200,9 @@ TEST(Cache, GetRefreshesLruOrder) {
 TEST(Cache, FlushAllEmptiesEverything) {
   McCache c(64 * kMiB);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(c.set("k" + std::to_string(i), 0, 0, bytes("v"), 0));
+    std::string key = "k";
+    key += std::to_string(i);
+    ASSERT_TRUE(c.set(key, 0, 0, bytes("v"), 0));
   }
   c.flush_all();
   EXPECT_EQ(c.item_count(), 0u);

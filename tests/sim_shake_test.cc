@@ -10,14 +10,15 @@
 //   * A shaken run permutes ONLY ties: the timestamp sequence is
 //     unchanged and each timestamp resumes the same event set, but the
 //     within-timestamp order differs (tie_shaken > 0, anti-vacuity).
-//   * Wheel and legacy heap produce identical traces under the same shake
-//     seed — the shaken schedule is still a deterministic contract, not an
-//     implementation accident.
+//   * A shaken trace is exactly the order a heap keyed by (time,
+//     shake_key(seed, seq), seq) would produce — the shaken schedule is a
+//     deterministic contract, not an implementation accident.
 //   * Same seed reproduces, different seeds explore different orders.
 //   * A SimMutex-guarded read-modify-write stays exact under shake: the
 //     schedules shake explores are legal, so guarded code must not care.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -43,9 +44,9 @@ Task<void> lockstep_client(EventLoop& loop, std::size_t iters) {
   }
 }
 
-Trace run_lockstep(QueueImpl impl, std::uint64_t shake, std::size_t n_clients,
+Trace run_lockstep(std::uint64_t shake, std::size_t n_clients,
                    std::size_t iters, EventLoopStats* stats = nullptr) {
-  EventLoop loop(impl);
+  EventLoop loop;
   loop.set_tie_shake(shake);
   Trace trace;
   loop.set_trace(&trace);
@@ -68,19 +69,19 @@ std::map<SimTime, std::multiset<std::uint64_t>> by_time(const Trace& t) {
 TEST(ScheduleShake, ZeroSeedIsByteIdenticalToFifo) {
   EventLoopStats plain_stats, zero_stats;
   const Trace plain =
-      run_lockstep(QueueImpl::kTimerWheel, 0, 32, 50, &plain_stats);
+      run_lockstep(0, 32, 50, &plain_stats);
   const Trace zero =
-      run_lockstep(QueueImpl::kTimerWheel, 0, 32, 50, &zero_stats);
+      run_lockstep(0, 32, 50, &zero_stats);
   ASSERT_EQ(plain, zero);
   EXPECT_EQ(plain_stats.tie_shaken, 0u);
   EXPECT_EQ(zero_stats.tie_shaken, 0u);
 }
 
 TEST(ScheduleShake, ShakenRunPermutesTiesOnly) {
-  const Trace fifo = run_lockstep(QueueImpl::kTimerWheel, 0, 32, 50);
+  const Trace fifo = run_lockstep(0, 32, 50);
   EventLoopStats shaken_stats;
   const Trace shaken =
-      run_lockstep(QueueImpl::kTimerWheel, 7, 32, 50, &shaken_stats);
+      run_lockstep(7, 32, 50, &shaken_stats);
 
   ASSERT_EQ(fifo.size(), shaken.size());
   // Same timestamps in the same order; same event multiset per timestamp.
@@ -91,18 +92,32 @@ TEST(ScheduleShake, ShakenRunPermutesTiesOnly) {
   EXPECT_GT(shaken_stats.tie_shaken, 0u);
 }
 
+// The lockstep clients only ever sleep a positive tick, so no event is
+// scheduled into the timestamp being drained. A heap keyed by (time,
+// shake_key, seq) then pops the global sort of all events by that key
+// (DESIGN.md §5h), and the shaken trace must be exactly that sort.
 TEST(ScheduleShake, WheelAndLegacyHeapAgreeUnderShake) {
   for (const std::uint64_t seed : {1ull, 7ull, 1234567ull}) {
-    const Trace wheel = run_lockstep(QueueImpl::kTimerWheel, seed, 24, 40);
-    const Trace heap = run_lockstep(QueueImpl::kLegacyHeap, seed, 24, 40);
-    ASSERT_EQ(wheel, heap) << "impls diverged under shake seed " << seed;
+    EventLoopStats stats;
+    const Trace wheel = run_lockstep(seed, 24, 40, &stats);
+    ASSERT_EQ(wheel.size(), stats.events_scheduled);
+    Trace heap = wheel;
+    std::sort(heap.begin(), heap.end(), [seed](const auto& a, const auto& b) {
+      const std::uint64_t ka = detail::shake_key(seed, a.second);
+      const std::uint64_t kb = detail::shake_key(seed, b.second);
+      if (a.first != b.first) return a.first < b.first;
+      if (ka != kb) return ka < kb;
+      return a.second < b.second;
+    });
+    ASSERT_EQ(wheel, heap) << "not the heap order under shake seed " << seed;
+    EXPECT_GT(stats.tie_shaken, 0u);
   }
 }
 
 TEST(ScheduleShake, SameSeedReproducesDifferentSeedsDiffer) {
-  const Trace a1 = run_lockstep(QueueImpl::kTimerWheel, 9, 32, 50);
-  const Trace a2 = run_lockstep(QueueImpl::kTimerWheel, 9, 32, 50);
-  const Trace b = run_lockstep(QueueImpl::kTimerWheel, 10, 32, 50);
+  const Trace a1 = run_lockstep(9, 32, 50);
+  const Trace a2 = run_lockstep(9, 32, 50);
+  const Trace b = run_lockstep(10, 32, 50);
   EXPECT_EQ(a1, a2);
   EXPECT_NE(a1, b);
   EXPECT_EQ(by_time(a1), by_time(b));  // still the same legal schedule space
