@@ -241,5 +241,90 @@ TEST(WritebackTest, FlushRetriesRideOutBrickOutage) {
   EXPECT_EQ(tb.server().stats().duplicate_applies, 0u);
 }
 
+// First instant, to the microsecond, at which client `i` has flushed `n`
+// extents (polled: the flusher exposes no completion event). 0 = never
+// before `limit`.
+Task<SimTime> flushed_at(GlusterTestbed& bed, std::size_t i, std::uint64_t n,
+                         SimTime limit) {
+  while (bed.loop().now() < limit) {
+    if (wb_stats(bed, i).flushed_extents >= n) co_return bed.loop().now();
+    co_await bed.loop().sleep(1 * kMicro);
+  }
+  co_return 0;
+}
+
+// Pins the flusher's schedule on the sim clock. The brick is down from the
+// ack until 50 ms later, and every brick write is refused after one round
+// trip. Each worker pass makes 6 attempts spaced by the capped doubling
+// backoff 1, 2, 4, 8, 16 ms (5 retries); a failed pass requeues the path
+// after 1 ms (then 2 ms), and each pass first waits the 1 ms coalescing
+// window. So the first pass fails and the second pass's sixth attempt, 31
+// ms after its first, is the one that lands after the restart; the drain
+// instant adds the MCD index work of both passes and the brick's cold-disk
+// write. Measured on the sim clock, independent of the host.
+TEST(WritebackTest, FlushAndRequeueBackoffExact) {
+  auto cfg = wb_config(3, 1);
+  cfg.imca.wb_flush_delay = 1 * kMilli;
+  GlusterTestbed tb(cfg);
+  SimDuration drain = 0;
+  tb.run([](GlusterTestbed& bed, SimDuration& drain_out) -> Task<void> {
+    auto f = co_await bed.client(0).create("/f");
+    EXPECT_TRUE(f.has_value());
+    if (!f) co_return;
+    EXPECT_TRUE((co_await bed.client(0)
+                     .write(*f, 0, to_buffer(std::string(2048, 'q'))))
+                    .has_value());
+    EXPECT_EQ(wb_stats(bed, 0).absorbed, 1u);
+    const SimTime acked = bed.loop().now();
+    bed.server().crash();
+    bed.loop().spawn([](GlusterTestbed& b, SimTime at) -> Task<void> {
+      co_await b.loop().sleep(at - b.loop().now());
+      b.server().restart();
+    }(bed, acked + 50 * kMilli));
+    const SimTime done = co_await flushed_at(bed, 0, 1, acked + 500 * kMilli);
+    EXPECT_GT(done, 0u);
+    drain_out = done - acked;
+  }(tb, drain));
+  EXPECT_EQ(wb_stats(tb, 0).flush_retries, 10u);
+  EXPECT_EQ(wb_stats(tb, 0).flush_requeues, 1u);
+  EXPECT_EQ(wb_stats(tb, 0).lost_extents, 0u);
+  EXPECT_EQ(drain, 78'375 * kMicro);
+  EXPECT_EQ(tb.server().stats().duplicate_applies, 0u);
+}
+
+// Pins a barrier's poll spacing. Client 1 holds a dirty extent on /f that
+// only it may flush; client 0's barrier on /f polls the merged index with
+// gaps of 1, 2, 4, 8, 16, 16, ... ms (capped doubling) and returns at the
+// first poll after client 1's own barrier drained the extent at +20 ms:
+// the sixth, after 1 + 2 + 4 + 8 + 16 = 31 ms of sleeps plus the index
+// reads and payload probes of the six polls.
+TEST(WritebackTest, BarrierRoundSpacingExact) {
+  auto cfg = wb_config(3, 2);
+  cfg.imca.wb_flush_delay = kNeverFlush;
+  GlusterTestbed tb(cfg);
+  SimDuration waited = 0;
+  tb.run([](GlusterTestbed& bed, SimDuration& waited_out) -> Task<void> {
+    auto f = co_await bed.client(1).create("/f");
+    EXPECT_TRUE(f.has_value());
+    if (!f) co_return;
+    EXPECT_TRUE((co_await bed.client(1)
+                     .write(*f, 0, to_buffer(std::string(1024, 'b'))))
+                    .has_value());
+    EXPECT_EQ(wb_stats(bed, 1).absorbed, 1u);
+    const SimTime start = bed.loop().now();
+    bed.loop().spawn([](GlusterTestbed& b, SimTime at) -> Task<void> {
+      co_await b.loop().sleep(at - b.loop().now());
+      auto r = co_await b.cmcache(1).writeback()->sync_path("/f");
+      EXPECT_TRUE(r.has_value());
+    }(bed, start + 20 * kMilli));
+    auto r = co_await bed.cmcache(0).writeback()->sync_path("/f");
+    EXPECT_TRUE(r.has_value());
+    waited_out = bed.loop().now() - start;
+  }(tb, waited));
+  EXPECT_EQ(wb_stats(tb, 1).flushed_extents, 1u);
+  EXPECT_EQ(wb_stats(tb, 0).barrier_timeouts, 0u);
+  EXPECT_EQ(waited, 31 * kMilli + 644'843);
+}
+
 }  // namespace
 }  // namespace imca
