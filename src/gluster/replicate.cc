@@ -118,7 +118,7 @@ ReplicateXlator::Quorum ReplicateXlator::commit(
   // non-infrastructure error, e.g. unlink of a name nobody holds): the
   // replica set is still in agreement and nothing was applied anywhere.
   // That is a correct answer, not a quorum failure — report it untainted.
-  bool unanimous = acks == 0 && !retryable(child_err[0]);
+  bool unanimous = acks == 0 && !ProtocolClient::retryable(child_err[0]);
   for (std::size_t i = 1; unanimous && i < k; ++i) {
     unanimous = child_err[i] == child_err[0];
   }
@@ -389,7 +389,7 @@ sim::Task<Expected<store::Attr>> ReplicateXlator::open(std::string path) {
   }
   const std::size_t first = pick_read_child(path);
   auto r = co_await replicas_[first]->open(path);
-  if (r || !retryable(r.error())) {
+  if (r || !ProtocolClient::retryable(r.error())) {
     note_read_child(path, first);
     co_return r;
   }
@@ -397,7 +397,7 @@ sim::Task<Expected<store::Attr>> ReplicateXlator::open(std::string path) {
     const std::size_t i = (first + d) % replicas_.size();
     if (!fresh(i, path)) continue;
     auto r2 = co_await replicas_[i]->open(path);
-    if (r2 || !retryable(r2.error())) {
+    if (r2 || !ProtocolClient::retryable(r2.error())) {
       note_read_child(path, i);
       co_return r2;
     }
@@ -414,7 +414,7 @@ sim::Task<Expected<store::Attr>> ReplicateXlator::stat(std::string path) {
   poll_rejoins();
   const std::size_t first = pick_read_child(path);
   auto r = co_await replicas_[first]->stat(path);
-  if (r || !retryable(r.error())) {
+  if (r || !ProtocolClient::retryable(r.error())) {
     note_read_child(path, first);
     co_return r;
   }
@@ -422,7 +422,7 @@ sim::Task<Expected<store::Attr>> ReplicateXlator::stat(std::string path) {
     const std::size_t i = (first + d) % replicas_.size();
     if (!fresh(i, path)) continue;
     auto r2 = co_await replicas_[i]->stat(path);
-    if (r2 || !retryable(r2.error())) {
+    if (r2 || !ProtocolClient::retryable(r2.error())) {
       note_read_child(path, i);
       co_return r2;
     }
@@ -437,7 +437,7 @@ sim::Task<Expected<Buffer>> ReplicateXlator::read(std::string path,
   ++stats_.reads;
   const std::size_t first = pick_read_child(path);
   auto r = co_await replicas_[first]->read(path, offset, len);
-  if (r || !retryable(r.error())) {
+  if (r || !ProtocolClient::retryable(r.error())) {
     note_read_child(path, first);
     co_return r;
   }
@@ -445,7 +445,7 @@ sim::Task<Expected<Buffer>> ReplicateXlator::read(std::string path,
     const std::size_t i = (first + d) % replicas_.size();
     if (!fresh(i, path)) continue;
     auto r2 = co_await replicas_[i]->read(path, offset, len);
-    if (r2 || !retryable(r2.error())) {
+    if (r2 || !ProtocolClient::retryable(r2.error())) {
       note_read_child(path, i);
       co_return r2;
     }
@@ -532,7 +532,7 @@ sim::Task<Expected<void>> ReplicateXlator::fsync(std::string path) {
   for (const Errc e : *errs) {
     if (e == Errc::kOk) {
       ++acks;
-    } else if (!retryable(e)) {
+    } else if (!ProtocolClient::retryable(e)) {
       err = e;  // a definite answer (e.g. kNoEnt) beats a transport guess
     } else if (err == Errc::kTimedOut) {
       err = e;

@@ -132,11 +132,6 @@ class ReplicateXlator final : public Xlator, public ServerHealth {
     Errc err = Errc::kTimedOut;  // representative error when not committed
   };
 
-  static bool retryable(Errc e) noexcept {
-    return e == Errc::kTimedOut || e == Errc::kConnRefused ||
-           e == Errc::kConnReset || e == Errc::kBusy || e == Errc::kProto;
-  }
-
   std::uint64_t epoch_of(const std::string& path) const {
     auto it = epochs_.find(path);
     return it == epochs_.end() ? 0 : it->second;

@@ -15,6 +15,16 @@ namespace {
 // contention is tiny; the budget rides out a burst plus transient faults.
 constexpr unsigned kCasAttempts = 16;
 
+// Brick-write attempts per flusher pass: they ride out transient kBusy and
+// crash windows; a pass that still fails re-queues the path.
+constexpr std::size_t kWbFlushAttempts = 6;
+// Spacing of flush retries, re-queues and barrier polls.
+constexpr net::Backoff kWbFlushBackoff{1 * kMilli, 16 * kMilli};
+// Barrier patience: poll rounds an fsync/close/dependent op waits for
+// *other* writers' dirty extents on the path to drain before giving up with
+// kTimedOut. Bounded so a wedged peer cannot hang a barrier forever.
+constexpr std::size_t kWbBarrierRounds = 4000;
+
 }  // namespace
 
 WritebackTier::WritebackTier(std::unique_ptr<mcclient::McClient> mcds,
@@ -413,14 +423,10 @@ sim::Task<bool> WritebackTier::flush_path_locked(std::string path) {
     // and the replay window applies it exactly once across retries.
     Errc err = Errc::kOk;
     bool written = false;
-    const std::size_t attempts = std::max<std::size_t>(1, cfg_.wb_flush_attempts);
-    for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt < kWbFlushAttempts; ++attempt) {
       if (attempt > 0) {
         ++stats_.flush_retries;
-        const SimDuration backoff = std::min<SimDuration>(
-            cfg_.wb_flush_backoff << std::min<std::size_t>(attempt - 1, 4),
-            cfg_.wb_flush_backoff * 16);
-        co_await loop_.sleep(backoff);
+        co_await loop_.sleep(kWbFlushBackoff.delay(attempt - 1));
       }
       auto wrote = co_await (*child_)->write(path, ext.offset, *payload);
       if (wrote) {
@@ -471,9 +477,7 @@ sim::Task<void> WritebackTier::worker_loop() {
     // doubling backoff so a long outage doesn't hot-loop the worker.
     ++stats_.flush_requeues;
     std::size_t& streak = requeue_streak_[path];
-    const SimDuration backoff = std::min<SimDuration>(
-        cfg_.wb_flush_backoff << std::min<std::size_t>(streak, 4),
-        cfg_.wb_flush_backoff * 16);
+    const SimDuration backoff = kWbFlushBackoff.delay(streak);
     ++streak;
     co_await loop_.sleep(backoff);
     jobs_.send(std::move(path));
@@ -492,9 +496,7 @@ void WritebackTier::note_rename(const std::string& from,
 sim::Task<Expected<void>> WritebackTier::sync_path(std::string path) {
   if (!cfg_.writeback) co_return Expected<void>{};
   const Fanout f = fanout(path);
-  SimDuration backoff = cfg_.wb_flush_backoff;
-  const std::size_t rounds = std::max<std::size_t>(1, cfg_.wb_barrier_rounds);
-  for (std::size_t round = 0; round < rounds; ++round) {
+  for (std::size_t round = 0; round < kWbBarrierRounds; ++round) {
     sim::SimMutex& mu = path_lock(path);
     co_await mu.lock();
     // sync_path() is awaited by the barrier caller, which owns the tier —
@@ -522,8 +524,7 @@ sim::Task<Expected<void>> WritebackTier::sync_path(std::string path) {
       }
       if (!waiting) co_return Expected<void>{};
     }
-    co_await loop_.sleep(backoff);
-    backoff = std::min<SimDuration>(backoff * 2, cfg_.wb_flush_backoff * 16);
+    co_await loop_.sleep(kWbFlushBackoff.delay(round));
   }
   ++stats_.barrier_timeouts;
   co_return Errc::kTimedOut;

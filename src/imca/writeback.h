@@ -33,6 +33,11 @@
 //     its index entries are retired. While >= 1 dirty replica survives, no
 //     acked byte is lost — the matrix's tested-zero-loss invariant.
 //
+// Retries: each flusher pass makes kWbFlushAttempts brick-write attempts,
+// a failed pass re-queues the path, and a barrier polls for foreign
+// extents; all three space their tries by the one capped doubling schedule
+// kWbFlushBackoff (a net::Backoff, 1 ms doubling to 16 ms).
+//
 // Known window (documented in DESIGN.md §5j): with K > K_dirty the index
 // and payload quorums may be disjoint subsets, so crashing the index's
 // holders can briefly hide a surviving payload from barrier polls; the
@@ -119,7 +124,7 @@ class WritebackTier {
 
   // Barrier: drain every dirty extent on `path` — flush our own, wait for
   // foreign owners — before a dependent op proceeds. kTimedOut after
-  // wb_barrier_rounds polls (a wedged peer cannot hang the barrier forever).
+  // kWbBarrierRounds polls (a wedged peer cannot hang the barrier forever).
   sim::Task<Expected<void>> sync_path(std::string path);
   // Barrier over every path this client has pending extents on.
   sim::Task<Expected<void>> sync_all();
