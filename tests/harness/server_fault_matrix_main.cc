@@ -7,7 +7,7 @@
 //   * no mutation was ever applied twice (server duplicate_applies == 0 —
 //     the exactly-once contract of the (client_id, op_seq) replay window);
 //   * no op overran its deadline by more than one backoff step
-//     (max_op_elapsed <= op_deadline + backoff_cap);
+//     (max_op_elapsed <= op_deadline + backoff.cap);
 //   * the crash plans actually crashed and restarted the brick and forced
 //     client retries (no vacuous passes);
 //   * the slow plan forced attempt timeouts;
@@ -54,8 +54,7 @@ imca::harness::ReplayConfig base_config(std::uint64_t seed) {
   // one access and the deadline above a worst-case burst of them.
   cfg.client.protocol.op_deadline = 400 * kMilli;
   cfg.client.protocol.attempt_timeout = 40 * kMilli;
-  cfg.client.protocol.backoff_base = 1 * kMilli;
-  cfg.client.protocol.backoff_cap = 8 * kMilli;
+  cfg.client.protocol.backoff = {1 * kMilli, 8 * kMilli};
   cfg.client.protocol.eject_after = 3;
   cfg.client.protocol.probe_interval = 5 * kMilli;
   cfg.faults.seed = seed;
@@ -147,7 +146,7 @@ int main(int argc, char** argv) {
             " (a replayed mutation ran through the stack twice)";
     }
     const imca::SimDuration bound =
-        cfg.client.protocol.op_deadline + cfg.client.protocol.backoff_cap;
+        cfg.client.protocol.op_deadline + cfg.client.protocol.backoff.cap;
     if (ok && res.pc.max_op_elapsed > bound) {
       ok = false;
       why = "max_op_elapsed " + std::to_string(res.pc.max_op_elapsed) +

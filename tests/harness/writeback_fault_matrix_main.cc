@@ -104,8 +104,7 @@ imca::harness::ReplayConfig base_config(std::uint64_t seed) {
   // one access and the deadline above a worst-case burst of them.
   cfg.client.protocol.op_deadline = 400 * kMilli;
   cfg.client.protocol.attempt_timeout = 40 * kMilli;
-  cfg.client.protocol.backoff_base = 1 * kMilli;
-  cfg.client.protocol.backoff_cap = 8 * kMilli;
+  cfg.client.protocol.backoff = {1 * kMilli, 8 * kMilli};
   cfg.client.protocol.eject_after = 3;
   cfg.client.protocol.probe_interval = 5 * kMilli;
   cfg.faults.seed = seed;

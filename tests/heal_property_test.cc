@@ -67,8 +67,7 @@ harness::ReplayConfig grid_config(std::uint64_t seed) {
   // wide enough to also absorb a wait behind a same-path heal.
   cfg.client.protocol.op_deadline = 200 * kMilli;
   cfg.client.protocol.attempt_timeout = 20 * kMilli;
-  cfg.client.protocol.backoff_base = 1 * kMilli;
-  cfg.client.protocol.backoff_cap = 4 * kMilli;
+  cfg.client.protocol.backoff = {1 * kMilli, 4 * kMilli};
   cfg.client.protocol.eject_after = 3;
   cfg.client.protocol.probe_interval = 5 * kMilli;
   cfg.faults.seed = seed;

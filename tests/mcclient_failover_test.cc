@@ -73,8 +73,7 @@ TEST_F(FailoverTest, TimeoutBackoffScheduleExact) {
   McClientParams p;
   p.op_timeout = 2 * kMilli;
   p.get_attempts = 3;
-  p.backoff_base = 1 * kMilli;
-  p.backoff_cap = 5 * kMilli;
+  p.backoff = {1 * kMilli, 5 * kMilli};
   p.eject_after = 0;  // isolate the schedule from ejection
   McClient c(rpc_, client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
@@ -175,6 +174,42 @@ TEST_F(FailoverTest, RejoinTriggersPurge) {
   EXPECT_EQ(c.stats().rejoin_purges, 1u);
 }
 
+// A refusing daemon, as each one-key op reports it: the keyed ops and the
+// pinned writes degrade it to kNoEnt (a miss, or nothing cached), while the
+// pinned reads report the refusal so the write-back tier can tell a miss
+// from a down replica.
+TEST_F(FailoverTest, RefusalMappingKeyedAndPinned) {
+  McClient c(rpc_, client_node_, server_ids_,
+             std::make_unique<Crc32Selector>());
+
+  run([](FailoverTest& t, McClient& cl) -> sim::Task<void> {
+    const std::string key = key_for(cl, 1);
+    t.servers_[1]->stop();
+    EXPECT_EQ((co_await cl.get(key)).error(), Errc::kNoEnt);
+    EXPECT_EQ((co_await cl.gets(key)).error(), Errc::kNoEnt);
+    EXPECT_EQ((co_await cl.cas(key, to_buffer("v"), 1)).error(),
+              Errc::kNoEnt);
+    EXPECT_EQ((co_await cl.set(key, to_buffer("v"))).error(), Errc::kNoEnt);
+    EXPECT_EQ((co_await cl.add(key, to_buffer("v"))).error(), Errc::kNoEnt);
+    EXPECT_EQ((co_await cl.del(key)).error(), Errc::kNoEnt);
+
+    EXPECT_EQ((co_await cl.get_at(1, key)).error(), Errc::kConnRefused);
+    EXPECT_EQ((co_await cl.gets_at(1, key)).error(), Errc::kConnRefused);
+    EXPECT_EQ((co_await cl.cas_at(1, key, to_buffer("v"), 1)).error(),
+              Errc::kConnRefused);
+    EXPECT_EQ((co_await cl.set_at(1, key, to_buffer("v"))).error(),
+              Errc::kNoEnt);
+    EXPECT_EQ((co_await cl.add_at(1, key, to_buffer("v"))).error(),
+              Errc::kNoEnt);
+    EXPECT_EQ((co_await cl.del_at(1, key)).error(), Errc::kNoEnt);
+  }(*this, c));
+
+  EXPECT_EQ(c.stats().gets, 4u);
+  EXPECT_EQ(c.stats().misses, 4u);
+  EXPECT_EQ(c.stats().sets, 6u);
+  EXPECT_EQ(c.stats().deletes, 2u);
+}
+
 // flush_all must not hang on (or wait out deadlines for) a daemon already
 // marked dead, and must still flush the live ones.
 TEST_F(FailoverTest, FlushAllToleratesDeadServer) {
@@ -214,7 +249,7 @@ TEST_F(FailoverTest, MultiGetMidBatchDeathIsBounded) {
   McClientParams p;
   p.op_timeout = 2 * kMilli;
   p.get_attempts = 2;
-  p.backoff_base = 1 * kMilli;
+  p.backoff.base = 1 * kMilli;
   McClient c(rpc_, client_node_, {server_ids_[0], server_ids_[1]},
              std::make_unique<ModuloSelector>(), p);
 
@@ -277,7 +312,7 @@ TEST_F(FailoverTest, ReliableMutationRetriesUntilClean) {
   McClientParams p;
   p.op_timeout = 2 * kMilli;
   p.mutation_attempts = 64;
-  p.backoff_base = 200 * kMicro;
+  p.backoff.base = 200 * kMicro;
   p.eject_after = 2;  // would fire quickly if reliable mode didn't suppress it
   p.reliable_mutations = true;
   McClient c(rpc_, client_node_, server_ids_,

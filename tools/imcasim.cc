@@ -400,8 +400,7 @@ Rig build(const Options& o) {
           o.replicas > 1 ? 60 * kMilli : 400 * kMilli;
       cfg.client.protocol.attempt_timeout =
           o.replicas > 1 ? 20 * kMilli : 40 * kMilli;
-      cfg.client.protocol.backoff_base = 1 * kMilli;
-      cfg.client.protocol.backoff_cap = 8 * kMilli;
+      cfg.client.protocol.backoff = {1 * kMilli, 8 * kMilli};
       cfg.client.protocol.eject_after = 3;
       cfg.client.protocol.probe_interval = 5 * kMilli;
     }
