@@ -161,15 +161,6 @@ std::string Buffer::gather_string() const {
   return out;
 }
 
-std::span<const std::byte> Buffer::contiguous(
-    std::size_t offset, std::size_t length) const noexcept {
-  if (offset + length > size_ || length == 0) return {};
-  auto [vi, vo] = locate(offset);
-  const auto v = views_[vi].bytes();
-  if (vo + length > v.size()) return {};
-  return v.subspan(vo, length);
-}
-
 std::byte Buffer::at(std::size_t i) const {
   auto [vi, vo] = locate(i);
   return views_[vi].bytes()[vo];

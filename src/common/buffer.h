@@ -153,11 +153,6 @@ class Buffer {
   std::vector<std::byte> gather() const;
   std::string gather_string() const;
 
-  // The bytes of [offset, offset+length) if they lie within one segment;
-  // empty span otherwise. Lets parsers borrow text without copying.
-  std::span<const std::byte> contiguous(std::size_t offset,
-                                        std::size_t length) const noexcept;
-
   std::byte at(std::size_t i) const;
 
   // First occurrence of `needle` at or after `from`; npos if absent.

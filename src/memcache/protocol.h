@@ -72,12 +72,11 @@ Expected<std::map<std::string, std::string>> parse_stats_response(ByteBuf& in);
 
 // Parse one request off `request`, execute it against `cache` and encode the
 // response. `now` drives lazy expiration. Malformed input yields the
-// protocol's "ERROR\r\n", never an exception.
-ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now);
-
-// Number of keys a request makes the daemon touch (every key of a multi-get
-// is hashed and LRU-bumped; storage/delete ops touch one). Used by the
-// daemon's service-time model.
-std::size_t count_request_keys(const ByteBuf& request);
+// protocol's "ERROR\r\n", never an exception. If `keys_touched` is given it
+// receives, from the same parse, the number of keys the request made the
+// daemon touch (every key of a multi-get is hashed and LRU-bumped; any other
+// request counts one) — the daemon's service-time model charges per key.
+ByteBuf handle_request(McCache& cache, ByteBuf request, SimTime now,
+                       std::size_t* keys_touched = nullptr);
 
 }  // namespace imca::memcache

@@ -181,11 +181,6 @@ TEST(Buffer, MegabyteBoundarySegments) {
   EXPECT_EQ(straddle.at(0), static_cast<std::byte>(((kMiB - 1) * 7 + 1) & 0xFF));
   EXPECT_EQ(straddle.at(1), static_cast<std::byte>(2 & 0xFF));
 
-  // contiguous() can serve within one segment but not across the boundary.
-  EXPECT_EQ(b.contiguous(0, kMiB).size(), kMiB);
-  EXPECT_EQ(b.contiguous(kMiB, 16).size(), 16u);
-  EXPECT_TRUE(b.contiguous(kMiB - 8, 16).empty());
-
   std::vector<std::byte> mid(16);
   EXPECT_EQ(b.copy_to(kMiB - 8, mid), 16u);
   EXPECT_EQ(mid[7], static_cast<std::byte>(((kMiB - 1) * 7 + 1) & 0xFF));

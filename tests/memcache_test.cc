@@ -320,6 +320,35 @@ TEST(Protocol, MalformedInputYieldsError) {
   expect_error("delete\r\n");              // missing key
 }
 
+// A data-block length near SIZE_MAX must not wrap the scanner's bound
+// check: the request is malformed, not a store of whatever bytes follow.
+TEST(Protocol, HugeBlockLengthIsError) {
+  McCache c(64 * kMiB);
+  for (const std::string_view raw :
+       {"set k 0 0 18446744073709551614\r\nabc\r\n",
+        "set k 0 0 18446744073709551615\r\nabc\r\n"}) {
+    ByteBuf req;
+    req.put_raw(raw);
+    EXPECT_EQ(to_string(handle_request(c, std::move(req), 0).buffer()),
+              "ERROR\r\n")
+        << raw;
+  }
+  const std::string keys[] = {"k"};
+  auto resp = handle_request(c, encode_get(keys), 1);
+  EXPECT_TRUE(parse_get_response(resp).value().empty());
+  EXPECT_EQ(c.item_count(), 0u);
+}
+
+TEST(Protocol, HugeValueLengthIsProtoError) {
+  for (const std::string_view raw :
+       {"VALUE k 0 18446744073709551614\r\nabc\r\nEND\r\n",
+        "VALUE k 0 18446744073709551615\r\nabc\r\nEND\r\n"}) {
+    ByteBuf reply;
+    reply.put_raw(raw);
+    EXPECT_EQ(parse_get_response(reply).error(), Errc::kProto) << raw;
+  }
+}
+
 TEST(Protocol, FlushAllClears) {
   McCache c(64 * kMiB);
   (void)handle_request(c, encode_store(StoreVerb::kSet, "k", 0, 0, bytes("v")), 0);
