@@ -193,17 +193,16 @@ sim::Task<GetResult> McClient::multi_get(std::vector<std::string> keys,
   GetResult merged;
   std::vector<sim::Task<void>> calls;
   calls.reserve(groups.by_server.size());
-  for (auto& [server, group] : groups.by_server) {
-    calls.push_back([](McClient& c, std::size_t srv,
-                       std::vector<std::string> keys_for_server,
+  for (const auto& [server, group] : groups.by_server) {
+    calls.push_back([](McClient& c, std::size_t srv, ByteBuf request,
                        GetResult& out) -> sim::Task<void> {
-      auto resp = co_await c.call(srv, memcache::encode_get(keys_for_server),
-                                  OpKind::kGet, ReplyShape::kTerminated);
+      auto resp = co_await c.call(srv, std::move(request), OpKind::kGet,
+                                  ReplyShape::kTerminated);
       if (!resp) co_return;  // whole group misses
       auto parsed = memcache::parse_get_response(*resp);
       if (!parsed) co_return;
       out.merge(*parsed);
-    }(*this, server, group, merged));
+    }(*this, server, memcache::encode_get(group), merged));
   }
   co_await sim::when_all(rpc_.fabric().loop(), std::move(calls));
   stats_.hits += merged.size();
@@ -225,17 +224,16 @@ sim::Task<std::vector<std::optional<Value>>> McClient::multi_get_ordered(
   std::map<std::size_t, GetResult> parsed;
   std::vector<sim::Task<void>> calls;
   calls.reserve(groups.by_server.size());
-  for (auto& [server, group] : groups.by_server) {
-    calls.push_back([](McClient& c, std::size_t srv,
-                       std::vector<std::string> keys_for_server,
+  for (const auto& [server, group] : groups.by_server) {
+    calls.push_back([](McClient& c, std::size_t srv, ByteBuf request,
                        GetResult& out_map) -> sim::Task<void> {
-      auto resp = co_await c.call(srv, memcache::encode_get(keys_for_server),
-                                  OpKind::kGet, ReplyShape::kTerminated);
+      auto resp = co_await c.call(srv, std::move(request), OpKind::kGet,
+                                  ReplyShape::kTerminated);
       if (!resp) co_return;  // whole group misses
       auto p = memcache::parse_get_response(*resp);
       if (!p) co_return;
       out_map = std::move(*p);
-    }(*this, server, group, parsed[server]));
+    }(*this, server, memcache::encode_get(group), parsed[server]));
   }
   co_await sim::when_all(rpc_.fabric().loop(), std::move(calls));
 
