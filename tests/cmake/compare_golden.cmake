@@ -1,8 +1,8 @@
-# Runs a fault-matrix driver and requires its stdout to match a committed
-# golden transcript byte for byte. This is the determinism pin at system
-# scale (DESIGN.md §5h): every counter in a matrix transcript is an integer,
-# so any change to the schedule, a fault draw or an oracle shows up as a
-# byte difference. The goldens change only with a deliberate change to
+# Runs a driver (a fault matrix or imcasim) and requires its stdout to match
+# a committed golden transcript byte for byte. This is the determinism pin
+# at system scale (DESIGN.md §5h): the simulation is deterministic, so any
+# change to the schedule, a fault draw or an oracle shows up as a byte
+# difference. The goldens change only with a deliberate change to
 # simulated behaviour, regenerated with `<matrix> --seed=N > golden`.
 #
 # Usage: cmake -D MATRIX=<driver> -D "ARGS=<space-separated flags>"

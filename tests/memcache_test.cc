@@ -295,6 +295,19 @@ TEST(Protocol, StatsReportCounters) {
   const std::string keys[] = {"k"};
   (void)handle_request(c, encode_get(keys), 1);
   auto resp = handle_request(c, encode_stats(), 2);
+  // The whole reply, byte for byte: every CacheStats field in declaration
+  // order, then limit_maxbytes, then END.
+  EXPECT_EQ(to_string(resp.buffer()),
+            "STAT cmd_get 1\r\n"
+            "STAT cmd_set 1\r\n"
+            "STAT get_hits 1\r\n"
+            "STAT get_misses 0\r\n"
+            "STAT evictions 0\r\n"
+            "STAT expired_unfetched 0\r\n"
+            "STAT curr_items 1\r\n"
+            "STAT bytes 50\r\n"  // 1 + 1 + kItemOverhead
+            "STAT limit_maxbytes 67108864\r\n"
+            "END\r\n");
   auto stats = parse_stats_response(resp).value();
   EXPECT_EQ(stats.at("cmd_set"), "1");
   EXPECT_EQ(stats.at("get_hits"), "1");
