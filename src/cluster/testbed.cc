@@ -111,47 +111,20 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
 
 gluster::GlusterServerStats GlusterTestbed::server_totals() const {
   gluster::GlusterServerStats total;
-  for (const auto& s : servers_) {
-    const auto st = s->stats();
-    total.fops += st.fops;
-    total.sheds_admission += st.sheds_admission;
-    total.sheds_expired += st.sheds_expired;
-    total.sheds_io += st.sheds_io;
-    total.replays_seen += st.replays_seen;
-    total.replays_deduped += st.replays_deduped;
-    total.replays_parked += st.replays_parked;
-    total.duplicate_applies += st.duplicate_applies;
-    total.crashes += st.crashes;
-    total.restarts += st.restarts;
-    total.wb_dropped_bytes += st.wb_dropped_bytes;
-    total.replies_lost_in_crash += st.replies_lost_in_crash;
-  }
+  for (const auto& s : servers_) total += s->stats();
+  return total;
+}
+
+core::SmCacheStats GlusterTestbed::smcache_totals() const {
+  core::SmCacheStats total;
+  for (const core::SmCacheXlator* sm : smcaches_) total += sm->stats();
   return total;
 }
 
 core::WritebackStats GlusterTestbed::writeback_totals() {
   core::WritebackStats total;
   for (core::CmCacheXlator* cm : cmcaches_) {
-    const core::WritebackTier* wb = cm->writeback();
-    if (wb == nullptr) continue;
-    const auto& s = wb->stats();
-    total.absorbed += s.absorbed;
-    total.absorbed_bytes += s.absorbed_bytes;
-    total.degraded_writes += s.degraded_writes;
-    total.backpressure_sheds += s.backpressure_sheds;
-    total.rollbacks += s.rollbacks;
-    total.flushed_extents += s.flushed_extents;
-    total.flushed_bytes += s.flushed_bytes;
-    total.flush_retries += s.flush_retries;
-    total.flush_requeues += s.flush_requeues;
-    total.lost_extents += s.lost_extents;
-    total.lost_bytes += s.lost_bytes;
-    total.cas_conflicts += s.cas_conflicts;
-    total.index_reinstalls += s.index_reinstalls;
-    total.barrier_timeouts += s.barrier_timeouts;
-    total.overlay_reads += s.overlay_reads;
-    total.overlay_stats += s.overlay_stats;
-    total.replica_drops += s.replica_drops;
+    if (const core::WritebackTier* wb = cm->writeback()) total += wb->stats();
   }
   return total;
 }
@@ -168,17 +141,7 @@ std::vector<core::WbLostExtent> GlusterTestbed::writeback_losses() {
 
 memcache::CacheStats GlusterTestbed::mcd_totals() const {
   memcache::CacheStats total;
-  for (const auto& m : mcds_) {
-    const auto& s = m->cache().stats();
-    total.cmd_get += s.cmd_get;
-    total.cmd_set += s.cmd_set;
-    total.get_hits += s.get_hits;
-    total.get_misses += s.get_misses;
-    total.evictions += s.evictions;
-    total.expired_unfetched += s.expired_unfetched;
-    total.curr_items += s.curr_items;
-    total.bytes += s.bytes;
-  }
+  for (const auto& m : mcds_) total += m->cache().stats();
   return total;
 }
 

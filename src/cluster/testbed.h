@@ -79,6 +79,8 @@ class GlusterTestbed {
   core::SmCacheXlator* smcache() noexcept {
     return smcaches_.empty() ? nullptr : smcaches_.front();
   }
+  // SMCache counters summed over every brick.
+  core::SmCacheStats smcache_totals() const;
   // Settle every brick's SMCache publish worker (grid-aware quiesce).
   sim::Task<void> quiesce_smcaches() {
     for (core::SmCacheXlator* sm : smcaches_) co_await sm->quiesce();

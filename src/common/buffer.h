@@ -26,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/stat_fields.h"
+
 namespace imca {
 
 // Process-wide copy ledger. The simulation is single-threaded per process,
@@ -36,6 +38,15 @@ struct BufferStats {
   std::uint64_t bytes_copied = 0;        // bytes memcpy'd by the buffer layer
   std::uint64_t gather_calls = 0;        // full materializations
   std::uint64_t view_slices = 0;         // zero-copy slices handed out
+  static constexpr auto fields() {
+    using S = BufferStats;
+    return stat_fields<S>({
+        {"segments_allocated", &S::segments_allocated},
+        {"segment_bytes", &S::segment_bytes},
+        {"bytes_copied", &S::bytes_copied}, {"gather_calls", &S::gather_calls},
+        {"view_slices", &S::view_slices}
+    });
+  }
 };
 
 BufferStats& buffer_stats() noexcept;

@@ -44,17 +44,6 @@ double LatencyHistogram::percentile_ns(double q) const noexcept {
   return static_cast<double>(max_);
 }
 
-std::string LatencyHistogram::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "mean=%s p50=%s p99=%s max=%s n=%llu",
-                format_duration(mean_ns()).c_str(),
-                format_duration(percentile_ns(0.50)).c_str(),
-                format_duration(percentile_ns(0.99)).c_str(),
-                format_duration(static_cast<double>(max_)).c_str(),
-                static_cast<unsigned long long>(count_));
-  return buf;
-}
-
 std::string format_duration(double ns) {
   char buf[48];
   if (ns < 1e3) {

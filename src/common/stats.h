@@ -1,6 +1,5 @@
 // Measurement primitives for the benchmarks.
 //
-//  * Counter    — monotonically increasing event count.
 //  * MeanAccum  — streaming mean/min/max (no allocation).
 //  * LatencyHistogram — log2-bucketed latency histogram with percentile
 //    estimation; buckets cover 1ns .. ~18s which spans everything the
@@ -15,16 +14,6 @@
 #include "common/units.h"
 
 namespace imca {
-
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept { value_ += n; }
-  std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 class MeanAccum {
  public:
@@ -60,9 +49,6 @@ class LatencyHistogram {
   double percentile_ns(double q) const noexcept;
   SimDuration max_ns() const noexcept { return max_; }
   void reset() noexcept { *this = LatencyHistogram(); }
-
-  // "mean=12.3us p50=... p99=... max=... n=..."
-  std::string summary() const;
 
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};

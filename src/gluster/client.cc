@@ -58,22 +58,13 @@ GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
 
 ProtocolClientStats GlusterClient::protocol_totals() const {
   ProtocolClientStats total;
-  for (const ProtocolClient* pc : pcs_) {
-    const auto& s = pc->stats();
-    total.fops += s.fops;
-    total.retries += s.retries;
-    total.replays += s.replays;
-    total.timeouts += s.timeouts;
-    total.refusals += s.refusals;
-    total.resets += s.resets;
-    total.torn += s.torn;
-    total.sheds_seen += s.sheds_seen;
-    total.deadline_exhausted += s.deadline_exhausted;
-    total.fast_fails += s.fast_fails;
-    total.ejections += s.ejections;
-    total.rejoins += s.rejoins;
-    total.max_op_elapsed = std::max(total.max_op_elapsed, s.max_op_elapsed);
-  }
+  for (const ProtocolClient* pc : pcs_) total += pc->stats();
+  return total;
+}
+
+ReplicateStats GlusterClient::replicate_totals() const {
+  ReplicateStats total;
+  for (const ReplicateXlator* g : groups_) total += g->stats();
   return total;
 }
 

@@ -20,6 +20,7 @@
 
 #include <cassert>
 
+#include "common/stat_fields.h"
 #include "gluster/protocol.h"
 #include "gluster/xlator.h"
 #include "net/failover.h"
@@ -57,6 +58,18 @@ struct ProtocolClientStats {
   std::uint64_t ejections = 0;
   std::uint64_t rejoins = 0;
   SimDuration max_op_elapsed = 0;  // worst roundtrip() wall time
+  static constexpr auto fields() {
+    using S = ProtocolClientStats;
+    return stat_fields<S>({
+        {"fops", &S::fops}, {"retries", &S::retries}, {"replays", &S::replays},
+        {"timeouts", &S::timeouts}, {"refusals", &S::refusals},
+        {"resets", &S::resets}, {"torn", &S::torn},
+        {"sheds_seen", &S::sheds_seen},
+        {"deadline_exhausted", &S::deadline_exhausted},
+        {"fast_fails", &S::fast_fails}, {"ejections", &S::ejections},
+        {"rejoins", &S::rejoins}, {"max_op_elapsed", &S::max_op_elapsed, true}
+    });
+  }
 };
 
 class ProtocolClient final : public Xlator, public ServerHealth {

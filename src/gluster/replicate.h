@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/stat_fields.h"
 #include "gluster/protocol_client.h"
 #include "gluster/xlator.h"
 #include "sim/sync.h"
@@ -59,6 +60,19 @@ struct ReplicateStats {
   std::uint64_t heals_scheduled = 0;  // background heal workers spawned
   std::uint64_t heals_completed = 0;  // (child, path) pairs made byte-equal
   std::uint64_t heal_bytes_copied = 0;
+  static constexpr auto fields() {
+    using S = ReplicateStats;
+    return stat_fields<S>({
+        {"mutations", &S::mutations},
+        {"quorum_short_writes", &S::quorum_short_writes},
+        {"partial_acks", &S::partial_acks}, {"reads", &S::reads},
+        {"read_child_switches", &S::read_child_switches},
+        {"reads_degraded", &S::reads_degraded},
+        {"heals_scheduled", &S::heals_scheduled},
+        {"heals_completed", &S::heals_completed},
+        {"heal_bytes_copied", &S::heal_bytes_copied}
+    });
+  }
 };
 
 struct HealReport {

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stat_fields.h"
 #include "gluster/io_threads.h"
 #include "gluster/posix.h"
 #include "gluster/protocol.h"
@@ -73,6 +74,19 @@ struct GlusterServerStats {
   std::uint64_t restarts = 0;
   std::uint64_t wb_dropped_bytes = 0;   // acked-but-volatile bytes lost
   std::uint64_t replies_lost_in_crash = 0;  // fops in flight at crash time
+  static constexpr auto fields() {
+    using S = GlusterServerStats;
+    return stat_fields<S>({
+        {"fops", &S::fops}, {"sheds_admission", &S::sheds_admission},
+        {"sheds_expired", &S::sheds_expired}, {"sheds_io", &S::sheds_io},
+        {"replays_seen", &S::replays_seen},
+        {"replays_deduped", &S::replays_deduped},
+        {"replays_parked", &S::replays_parked},
+        {"duplicate_applies", &S::duplicate_applies}, {"crashes", &S::crashes},
+        {"restarts", &S::restarts}, {"wb_dropped_bytes", &S::wb_dropped_bytes},
+        {"replies_lost_in_crash", &S::replies_lost_in_crash}
+    });
+  }
 };
 
 class GlusterServer {

@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stat_fields.h"
 #include "gluster/xlator.h"
 #include "imca/block_mapper.h"
 #include "imca/config.h"
@@ -52,6 +53,19 @@ struct CmCacheStats {
   std::uint64_t range_fetches = 0;      // coalesced server range-reads issued
   std::uint64_t blocks_repaired = 0;    // read-repair adds that left the block cached
   std::uint64_t coalesced_waiters = 0;  // block fetches piggybacked on a flight
+  static constexpr auto fields() {
+    using S = CmCacheStats;
+    return stat_fields<S>({
+        {"stat_hits", &S::stat_hits}, {"stat_misses", &S::stat_misses},
+        {"reads_from_cache", &S::reads_from_cache},
+        {"reads_partial", &S::reads_partial},
+        {"reads_forwarded", &S::reads_forwarded},
+        {"blocks_requested", &S::blocks_requested},
+        {"blocks_hit", &S::blocks_hit}, {"range_fetches", &S::range_fetches},
+        {"blocks_repaired", &S::blocks_repaired},
+        {"coalesced_waiters", &S::coalesced_waiters}
+    });
+  }
 };
 
 // How MCD faults bent this client's traffic (DESIGN.md §5d). A "degraded"
@@ -70,6 +84,17 @@ struct FaultStats {
                                             // server was down, within bound
   std::uint64_t brownout_stale_bypass = 0;  // ops sent to the dead server
                                             // because the bound had passed
+  static constexpr auto fields() {
+    using S = FaultStats;
+    return stat_fields<S>({
+        {"degraded_reads", &S::degraded_reads},
+        {"degraded_stats", &S::degraded_stats},
+        {"repairs_dropped", &S::repairs_dropped},
+        {"repairs_skipped_stale", &S::repairs_skipped_stale},
+        {"brownout_serves", &S::brownout_serves},
+        {"brownout_stale_bypass", &S::brownout_stale_bypass}
+    });
+  }
 };
 
 class CmCacheXlator final : public gluster::Xlator {

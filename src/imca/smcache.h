@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stat_fields.h"
 #include "gluster/xlator.h"
 #include "imca/block_mapper.h"
 #include "imca/config.h"
@@ -60,6 +61,19 @@ struct SmCacheStats {
   // stat items deleted instead of republished, because their value would
   // depend on this brick's possibly-stale local disk.
   std::uint64_t write_invalidations = 0;
+  static constexpr auto fields() {
+    using S = SmCacheStats;
+    return stat_fields<S>({
+        {"blocks_published", &S::blocks_published},
+        {"stats_published", &S::stats_published}, {"purges", &S::purges},
+        {"blocks_purged", &S::blocks_purged}, {"readbacks", &S::readbacks},
+        {"worker_jobs", &S::worker_jobs}, {"publish_drops", &S::publish_drops},
+        {"purge_drops", &S::purge_drops},
+        {"publishes_suppressed", &S::publishes_suppressed},
+        {"jobs_dropped_in_crash", &S::jobs_dropped_in_crash},
+        {"write_invalidations", &S::write_invalidations}
+    });
+  }
 };
 
 class SmCacheXlator final : public gluster::Xlator {

@@ -53,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stat_fields.h"
 #include "gluster/xlator.h"
 #include "imca/config.h"
 #include "imca/keys.h"
@@ -95,6 +96,25 @@ struct WritebackStats {
   std::uint64_t overlay_reads = 0;   // reads that consulted dirty payloads
   std::uint64_t overlay_stats = 0;   // stats whose size took the dirty floor
   std::uint64_t replica_drops = 0;   // per-replica stores that failed
+  static constexpr auto fields() {
+    using S = WritebackStats;
+    return stat_fields<S>({
+        {"absorbed", &S::absorbed}, {"absorbed_bytes", &S::absorbed_bytes},
+        {"degraded_writes", &S::degraded_writes},
+        {"backpressure_sheds", &S::backpressure_sheds},
+        {"rollbacks", &S::rollbacks}, {"flushed_extents", &S::flushed_extents},
+        {"flushed_bytes", &S::flushed_bytes},
+        {"flush_retries", &S::flush_retries},
+        {"flush_requeues", &S::flush_requeues},
+        {"lost_extents", &S::lost_extents}, {"lost_bytes", &S::lost_bytes},
+        {"cas_conflicts", &S::cas_conflicts},
+        {"index_reinstalls", &S::index_reinstalls},
+        {"barrier_timeouts", &S::barrier_timeouts},
+        {"overlay_reads", &S::overlay_reads},
+        {"overlay_stats", &S::overlay_stats},
+        {"replica_drops", &S::replica_drops}
+    });
+  }
 };
 
 class WritebackTier {

@@ -39,6 +39,7 @@
 
 #include "common/buffer.h"
 #include "common/bytebuf.h"
+#include "common/stat_fields.h"
 #include "common/units.h"
 #include "common/expected.h"
 #include "mcclient/selector.h"
@@ -68,6 +69,18 @@ struct ClientStats {
   // the exchange was degraded by a fault (any kind).
   std::uint64_t fault_signals() const noexcept {
     return timeouts + truncated_replies + dead_server_ops;
+  }
+  static constexpr auto fields() {
+    using S = ClientStats;
+    return stat_fields<S>({
+        {"gets", &S::gets}, {"hits", &S::hits}, {"misses", &S::misses},
+        {"sets", &S::sets}, {"deletes", &S::deletes},
+        {"dead_server_ops", &S::dead_server_ops}, {"timeouts", &S::timeouts},
+        {"truncated_replies", &S::truncated_replies}, {"retries", &S::retries},
+        {"ejections", &S::ejections}, {"rejoins", &S::rejoins},
+        {"rejoin_purges", &S::rejoin_purges},
+        {"bypass_deletes", &S::bypass_deletes}
+    });
   }
 };
 

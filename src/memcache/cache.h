@@ -21,6 +21,7 @@
 #include "common/buffer.h"
 #include "common/errc.h"
 #include "common/expected.h"
+#include "common/stat_fields.h"
 #include "common/units.h"
 #include "memcache/slab.h"
 
@@ -54,6 +55,16 @@ struct CacheStats {
   std::uint64_t expired_unfetched = 0;
   std::uint64_t curr_items = 0;
   std::uint64_t bytes = 0;  // key+value+overhead of live items
+  static constexpr auto fields() {
+    using S = CacheStats;
+    return stat_fields<S>({
+        {"cmd_get", &S::cmd_get}, {"cmd_set", &S::cmd_set},
+        {"get_hits", &S::get_hits}, {"get_misses", &S::get_misses},
+        {"evictions", &S::evictions},
+        {"expired_unfetched", &S::expired_unfetched},
+        {"curr_items", &S::curr_items}, {"bytes", &S::bytes}
+    });
+  }
 };
 
 class McCache {

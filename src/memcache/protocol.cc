@@ -519,14 +519,7 @@ ByteBuf do_stats(const McCache& cache) {
     std::snprintf(line, sizeof line, "STAT %s %" PRIu64, name, v);
     put_line(out, line);
   };
-  stat("cmd_get", s.cmd_get);
-  stat("cmd_set", s.cmd_set);
-  stat("get_hits", s.get_hits);
-  stat("get_misses", s.get_misses);
-  stat("evictions", s.evictions);
-  stat("expired_unfetched", s.expired_unfetched);
-  stat("curr_items", s.curr_items);
-  stat("bytes", s.bytes);
+  for (const auto& f : CacheStats::fields()) stat(f.name, s.*f.member);
   stat("limit_maxbytes", cache.slabs().memory_limit());
   put_line(out, "END");
   return out;

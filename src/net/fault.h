@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stat_fields.h"
 #include "common/units.h"
 
 namespace imca::net {
@@ -124,6 +125,14 @@ class FaultInjector {
     std::uint64_t slow_replies = 0;
     std::uint64_t short_reads = 0;
     std::uint64_t clean_calls = 0;  // calls a spec covered but left alone
+    static constexpr auto fields() {
+      using S = Stats;
+      return stat_fields<S>({
+          {"drops_request", &S::drops_request},
+          {"drops_reply", &S::drops_reply}, {"slow_replies", &S::slow_replies},
+          {"short_reads", &S::short_reads}, {"clean_calls", &S::clean_calls}
+      });
+    }
   };
 
   explicit FaultInjector(std::uint64_t seed) : rng_(seed) {}

@@ -430,20 +430,7 @@ ReplayResult replay(const std::vector<Op>& trace, const ReplayConfig& cfg) {
   res.server = bed.server_totals();
   gluster::GlusterClient& gc = bed.gluster_client(0);
   res.pc = gc.protocol_totals();
-  for (std::size_t g = 0; g < gc.n_groups(); ++g) {
-    const gluster::ReplicateXlator* rep = gc.replica_group(g);
-    if (rep == nullptr) break;
-    const auto& s = rep->stats();
-    res.replicate.mutations += s.mutations;
-    res.replicate.quorum_short_writes += s.quorum_short_writes;
-    res.replicate.partial_acks += s.partial_acks;
-    res.replicate.reads += s.reads;
-    res.replicate.read_child_switches += s.read_child_switches;
-    res.replicate.reads_degraded += s.reads_degraded;
-    res.replicate.heals_scheduled += s.heals_scheduled;
-    res.replicate.heals_completed += s.heals_completed;
-    res.replicate.heal_bytes_copied += s.heal_bytes_copied;
-  }
+  res.replicate = gc.replicate_totals();
   if (gc.distribute() != nullptr) res.distribute = gc.distribute()->stats();
   if (bed.imca_enabled()) {
     res.cm = bed.cmcache(0).stats();
