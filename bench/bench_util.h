@@ -7,14 +7,17 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/testbed.h"
+#include "common/parse_number.h"
 #include "common/table.h"
 
 namespace imca::bench {
@@ -71,32 +74,46 @@ struct BenchArgs {
   std::exit(2);
 }
 
+[[noreturn]] inline void bad_value_and_exit(const char* argv0,
+                                            const char* arg) {
+  std::fprintf(stderr, "%s: bad value in '%s'\n", argv0, arg);
+  usage_and_exit(argv0, nullptr);
+}
+
 // Strict: any unrecognized argument is a usage error (exit 2) — a typo like
-// --sclae=4 must not silently run the bench at the wrong scale.
+// --sclae=4 must not silently run the bench at the wrong scale — and so is
+// a value that is not wholly a number in range (--scale=abc, --seed=2x,
+// --reps=0).
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0) {
+    const char* a = argv[i];
+    if (std::strcmp(a, "--csv") == 0) {
       args.csv = true;
-    } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      args.scale = std::atof(argv[i] + 8);
-      if (args.scale <= 0) args.scale = 1.0;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      args.json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      args.reps = std::atoi(argv[i] + 7);
-      if (args.reps < 1) args.reps = 1;
-    } else if (std::strcmp(argv[i], "--bricks") == 0) {
+    } else if (std::strncmp(a, "--scale=", 8) == 0) {
+      // Written so that NaN fails the range check too.
+      if (!parse_number(std::string_view(a + 8), args.scale) ||
+          !(args.scale > 0 && std::isfinite(args.scale))) {
+        bad_value_and_exit(argv[0], a);
+      }
+    } else if (std::strncmp(a, "--json=", 7) == 0) {
+      args.json_path = a + 7;
+    } else if (std::strncmp(a, "--seed=", 7) == 0) {
+      if (!parse_number(std::string_view(a + 7), args.seed)) {
+        bad_value_and_exit(argv[0], a);
+      }
+    } else if (std::strncmp(a, "--reps=", 7) == 0) {
+      if (!parse_number(std::string_view(a + 7), args.reps) || args.reps < 1) {
+        bad_value_and_exit(argv[0], a);
+      }
+    } else if (std::strcmp(a, "--bricks") == 0) {
       args.bricks = true;
-    } else if (std::strcmp(argv[i], "--writeback") == 0) {
+    } else if (std::strcmp(a, "--writeback") == 0) {
       args.writeback = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
+    } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       usage_and_exit(argv[0], nullptr);
     } else {
-      usage_and_exit(argv[0], argv[i]);
+      usage_and_exit(argv[0], a);
     }
   }
   return args;

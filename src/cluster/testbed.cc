@@ -73,16 +73,9 @@ GlusterTestbed::GlusterTestbed(GlusterTestbedConfig cfg)
   for (std::size_t c = 0; c < cfg_.n_clients; ++c) {
     const auto n =
         fabric_.add_node("client" + std::to_string(c), kCoresPerNode).id();
-    if (n_servers == 1) {
-      clients_.push_back(std::make_unique<gluster::GlusterClient>(
-          rpc_, n, brick_nodes_.front(), cfg_.client));
-    } else {
-      gluster::GlusterTopology topo;
-      topo.bricks = brick_nodes_;
-      topo.replicas = replicas;
-      clients_.push_back(std::make_unique<gluster::GlusterClient>(
-          rpc_, n, topo, cfg_.client));
-    }
+    clients_.push_back(std::make_unique<gluster::GlusterClient>(
+        rpc_, n, gluster::GlusterTopology{brick_nodes_, replicas},
+        cfg_.client));
     if (!mcds_.empty()) {
       auto cm = std::make_unique<core::CmCacheXlator>(
           std::make_unique<mcclient::McClient>(

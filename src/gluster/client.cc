@@ -7,13 +7,7 @@ namespace imca::gluster {
 
 GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
                              net::NodeId server, GlusterClientParams params)
-    : rpc_(rpc), self_(self), params_(params) {
-  auto pc =
-      std::make_unique<ProtocolClient>(rpc, self, server, params_.protocol);
-  pcs_.push_back(pc.get());
-  health_ = pc.get();
-  stack_.push_back(std::move(pc));
-}
+    : GlusterClient(rpc, self, GlusterTopology{{server}, 1}, params) {}
 
 GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
                              const GlusterTopology& topology,
@@ -36,8 +30,8 @@ GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
     if (k == 1) {
       subvols.push_back(std::move(conns.front()));
     } else {
-      auto rep = std::make_unique<ReplicateXlator>(
-          rpc.fabric().loop(), std::move(conns), params_.replicate);
+      auto rep = std::make_unique<ReplicateXlator>(rpc.fabric().loop(),
+                                                   std::move(conns));
       groups_.push_back(rep.get());
       subvols.push_back(std::move(rep));
     }
@@ -48,8 +42,7 @@ GlusterClient::GlusterClient(net::RpcSystem& rpc, net::NodeId self,
                      : static_cast<ServerHealth*>(groups_.front());
     stack_.push_back(std::move(subvols.front()));
   } else {
-    auto dht = std::make_unique<DistributeXlator>(std::move(subvols),
-                                                  params_.distribute);
+    auto dht = std::make_unique<DistributeXlator>(std::move(subvols));
     dht_ = dht.get();
     health_ = dht.get();
     stack_.push_back(std::move(dht));

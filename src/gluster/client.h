@@ -29,9 +29,6 @@ struct GlusterClientParams {
   // Deadline/retry/replay policy for the terminal translator (defaults are
   // the seed's single-attempt behaviour).
   ProtocolClientParams protocol = {};
-  // Cluster-xlator knobs, used only by the topology constructor.
-  ReplicateParams replicate = {};
-  DistributeParams distribute = {};
 };
 
 // An N x K brick grid: `bricks` holds the server node of every brick in
@@ -46,6 +43,7 @@ struct GlusterTopology {
 
 class GlusterClient final : public fsapi::FileSystemClient {
  public:
+  // The classic single-brick mount: a 1 x 1 grid.
   GlusterClient(net::RpcSystem& rpc, net::NodeId self, net::NodeId server,
                 GlusterClientParams params = {});
   // Mount an N x K brick grid (distribute over replicate).
@@ -54,7 +52,7 @@ class GlusterClient final : public fsapi::FileSystemClient {
                 GlusterClientParams params = {});
 
   // Insert a translator above the current stack top (e.g. CMCache,
-  // read-ahead). Must precede the first fop.
+  // write-behind). Must precede the first fop.
   void push_translator(std::unique_ptr<Xlator> xlator);
 
   // --- FileSystemClient ---

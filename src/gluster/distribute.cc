@@ -21,7 +21,7 @@ void DistributeXlator::attach(std::unique_ptr<Xlator> xl) {
   sv.health = dynamic_cast<ServerHealth*>(xl.get());
   sv.xl = std::move(xl);
   const std::string base = "dht-" + std::to_string(sv.id) + "#";
-  for (std::size_t j = 0; j < params_.vnodes; ++j) {
+  for (std::size_t j = 0; j < kVnodes; ++j) {
     ring_[ring_point(base + std::to_string(j))] = sv.id;
   }
   subvols_.push_back(std::move(sv));

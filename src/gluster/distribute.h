@@ -3,7 +3,7 @@
 // "GlusterFS in its default configuration does not stripe the data, but
 // instead distributes the namespace across all the servers" (paper §2.1).
 // Each path hashes to exactly one subvolume; all fops for that path go
-// there. Subvolumes are placed on a consistent-hash ring (`vnodes` points
+// there. Subvolumes are placed on a consistent-hash ring (kVnodes points
 // per subvolume), so `add_brick`/`remove_brick` move only ~1/(N+1) of the
 // namespace instead of reshuffling everything the way `hash % N` would.
 //
@@ -31,10 +31,6 @@
 
 namespace imca::gluster {
 
-struct DistributeParams {
-  std::size_t vnodes = 128;  // ring points per subvolume
-};
-
 struct DistributeStats {
   std::uint64_t cross_renames = 0;       // renames that crossed subvolumes
   std::uint64_t stage_commits = 0;       // staged copies atomically swapped in
@@ -54,9 +50,7 @@ class DistributeXlator final : public Xlator, public ServerHealth {
   // Takes ownership of one subvolume xlator per brick (ProtocolClient or a
   // whole replicate group).
   template <typename X>
-  explicit DistributeXlator(std::vector<std::unique_ptr<X>> subvols,
-                            DistributeParams params = {})
-      : params_(params) {
+  explicit DistributeXlator(std::vector<std::unique_ptr<X>> subvols) {
     for (auto& s : subvols) attach(std::move(s));
   }
 
@@ -128,7 +122,9 @@ class DistributeXlator final : public Xlator, public ServerHealth {
   // Reap an owed source unlink. True when the path is no longer owed.
   sim::Task<bool> sweep_pending(std::string path);
 
-  DistributeParams params_;
+  // Ring points per subvolume.
+  static constexpr std::size_t kVnodes = 128;
+
   std::vector<Subvol> subvols_;
   std::uint32_t next_id_ = 0;
   // vnode point -> subvol id. Ordered: ring walks must be deterministic.

@@ -7,9 +7,9 @@
 // byte-equality. This translator renders the same contract on the simulated
 // stack (DESIGN.md §5i):
 //
-//   * Mutations fan out to all K children in parallel and commit iff at
-//     least `quorum` children acknowledge AND at least one of them held a
-//     fresh (up-to-date) copy before the op. A committed mutation bumps the
+//   * Mutations fan out to all K children in parallel and commit iff a
+//     majority (K/2 + 1) acknowledge AND at least one of them held a fresh
+//     (up-to-date) copy before the op. A committed mutation bumps the
 //     path's write epoch; children that acked from a fresh copy are fresh at
 //     the new epoch, everyone else is marked dirty.
 //   * Reads and stats are served by one fresh child — the path's affinity
@@ -43,11 +43,6 @@
 #include "sim/sync.h"
 
 namespace imca::gluster {
-
-struct ReplicateParams {
-  // Acks required to commit a mutation. 0 = majority (K/2 + 1).
-  std::size_t quorum = 0;
-};
 
 struct ReplicateStats {
   std::uint64_t mutations = 0;
@@ -85,8 +80,7 @@ class ReplicateXlator final : public Xlator, public ServerHealth {
   // Takes ownership of one protocol/client per replica. All children hold
   // the same namespace; `loop` drives the parallel fan-out and heal workers.
   ReplicateXlator(sim::EventLoop& loop,
-                  std::vector<std::unique_ptr<ProtocolClient>> replicas,
-                  ReplicateParams params = {});
+                  std::vector<std::unique_ptr<ProtocolClient>> replicas);
   ~ReplicateXlator() override;
 
   sim::Task<Expected<store::Attr>> create(std::string path,
@@ -176,8 +170,7 @@ class ReplicateXlator final : public Xlator, public ServerHealth {
 
   sim::EventLoop& loop_;
   std::vector<std::unique_ptr<ProtocolClient>> replicas_;
-  ReplicateParams params_;
-  std::size_t quorum_ = 0;
+  std::size_t quorum_;  // acks required to commit a mutation: a majority
   // path -> committed write epoch (monotone; heal uses it to detect races).
   std::map<std::string, std::uint64_t> epochs_;
   // Per child: paths whose latest committed mutation it missed.

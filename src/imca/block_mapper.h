@@ -15,13 +15,15 @@
 
 namespace imca::core {
 
+// The largest block whose item (block + key + overhead) fits memcached's
+// item ceiling.
+inline constexpr std::uint64_t kMaxBlockSize =
+    memcache::kMaxItemTotal - memcache::kItemOverhead - 300;
+
 class BlockMapper {
  public:
   explicit BlockMapper(std::uint64_t block_size) : block_size_(block_size) {
-    assert(block_size > 0);
-    assert(block_size + memcache::kItemOverhead + 300 <=
-               memcache::kMaxItemTotal &&
-           "block + key + overhead must fit a memcached item");
+    assert(block_size > 0 && block_size <= kMaxBlockSize);
   }
 
   std::uint64_t block_size() const noexcept { return block_size_; }

@@ -14,7 +14,7 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 }  // namespace
 
 CmCacheXlator::Brownout CmCacheXlator::brownout_state() const {
-  if (health_ == nullptr || !health_->server_down() || !cfg_.brownout) {
+  if (health_ == nullptr || !health_->server_down()) {
     return Brownout::kOff;
   }
   const SimTime now = mcds_->loop().now();
@@ -259,15 +259,13 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
   // 1. Join the per-block single-flights. Blocks another read is already
   //    resolving are awaited (step 5), not re-fetched; all other blocks are
   //    owned by this read, which must publish their results.
-  if (cfg_.coalesce_reads) {
-    for (auto& s : slots) {
-      auto [flight, leader] = inflight_.join(s.key);
-      if (leader) {
-        s.leading = std::move(flight);
-      } else {
-        s.waiting = std::move(flight);
-        ++stats_.coalesced_waiters;
-      }
+  for (auto& s : slots) {
+    auto [flight, leader] = inflight_.join(s.key);
+    if (leader) {
+      s.leading = std::move(flight);
+    } else {
+      s.waiting = std::move(flight);
+      ++stats_.coalesced_waiters;
     }
   }
 
@@ -289,7 +287,7 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
       auto& s = slots[get_slots[j]];
       s.bytes = std::move(got[j]->data);
       ++cached_hits;
-      if (s.leading) inflight_.complete(s.key, s.leading, BlockResult{*s.bytes});
+      inflight_.complete(s.key, s.leading, BlockResult{*s.bytes});
     }
   }
   stats_.blocks_hit += cached_hits;
@@ -308,7 +306,7 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
       auto& s = slots[i];
       if (s.bytes || s.waiting) continue;
       s.bytes.emplace();  // empty = at/after EOF
-      if (s.leading) inflight_.complete(s.key, s.leading, BlockResult{*s.bytes});
+      inflight_.complete(s.key, s.leading, BlockResult{*s.bytes});
     }
   }
 
@@ -361,13 +359,13 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
       auto& s = slots[run.first + k];
       if (run.error != Errc::kOk) {
         s.failed = true;
-        if (s.leading) inflight_.complete(s.key, s.leading, BlockResult{run.error});
+        inflight_.complete(s.key, s.leading, BlockResult{run.error});
         continue;
       }
       s.bytes = run.data.slice(static_cast<std::size_t>(k * bs),
                                static_cast<std::size_t>(bs));
       s.from_server = true;
-      if (s.leading) inflight_.complete(s.key, s.leading, BlockResult{*s.bytes});
+      inflight_.complete(s.key, s.leading, BlockResult{*s.bytes});
     }
   }
 
@@ -377,16 +375,14 @@ sim::Task<Expected<Buffer>> CmCacheXlator::read_partial_hit(
   //    becomes a cached false EOF marker. The repair carries the path's
   //    write epoch from before the server fetch: if the file is mutated
   //    while the repair is parked, the stale bytes are withheld.
-  if (cfg_.client_read_repair) {
-    std::vector<Repair> repairs;
-    for (const auto& s : slots) {
-      if (s.from_server && s.bytes && !s.bytes->empty()) {
-        repairs.push_back(Repair{s.key, s.block, *s.bytes});  // shared views
-      }
+  std::vector<Repair> repairs;
+  for (const auto& s : slots) {
+    if (s.from_server && s.bytes && !s.bytes->empty()) {
+      repairs.push_back(Repair{s.key, s.block, *s.bytes});  // shared views
     }
-    if (!repairs.empty()) {
-      mcds_->loop().spawn(repair_blocks(path, read_epoch, std::move(repairs)));
-    }
+  }
+  if (!repairs.empty()) {
+    mcds_->loop().spawn(repair_blocks(path, read_epoch, std::move(repairs)));
   }
 
   // 7. Collect blocks other reads were already fetching.

@@ -18,10 +18,9 @@
 //      missing blocks, issued concurrently) and spliced with cached blocks;
 //   2. read-repairs — server-fetched blocks are pushed back into the MCD
 //      array fire-and-forget, so one miss warms the cache without waiting
-//      for SMCache's server-side publish (cfg.client_read_repair);
+//      for SMCache's server-side publish;
 //   3. single-flights — concurrent fetches of the same <path>:<block>
-//      collapse into one MCD fetch + one server range-read
-//      (cfg.coalesce_reads).
+//      collapse into one MCD fetch + one server range-read.
 // cfg.partial_hit_reads = false restores the paper's forward-on-any-miss
 // behaviour (the ablation baseline).
 #pragma once

@@ -43,10 +43,6 @@ struct ImcaConfig {
   // authority for the file.
   bool replica_bricks = false;
 
-  // Upper bound on MCD daemons a deployment may use (sizes the consistent
-  // hash ring).
-  std::size_t max_mcds = 16;
-
   // --- miss-path handling (DESIGN.md "Miss-path handling") ---
 
   // Assemble partial hits: when some covering blocks hit and some miss,
@@ -55,16 +51,6 @@ struct ImcaConfig {
   // discards the hits and forwards the whole read — the §4.4 penalty that
   // makes a cold read cost more than plain GlusterFS.
   bool partial_hit_reads = true;
-
-  // Client-side read-repair: push server-fetched blocks back into the MCD
-  // array from the client (fire-and-forget sets), so a single miss warms the
-  // cache without waiting for SMCache's server-side publish.
-  bool client_read_repair = true;
-
-  // Single-flight coalescing: concurrent fetches of the same <path>:<block>
-  // collapse into one MCD fetch + one server range-read; late arrivals wait
-  // for the in-flight result instead of repeating the work.
-  bool coalesce_reads = true;
 
   // Reach the cache bank over native IB verbs/RDMA instead of TCP over
   // IPoIB — the paper's future work: "how network mechanisms like Remote
@@ -86,14 +72,12 @@ struct ImcaConfig {
   // --- file-server brownout (DESIGN.md §5f "Server failure model") ---
 
   // While the GlusterFS server is ejected (ProtocolClient's ServerHealth
-  // view says down), serve stats and fully-cached reads from the MCD array
-  // instead of failing — but only within the staleness bound below. Takes
-  // effect only when a ServerHealth is wired (CmCacheXlator::
-  // set_server_health); without one, behaviour is unchanged.
-  bool brownout = true;
-  // How long after the server went down cached answers may still be served.
-  // Beyond this, CMCache bypasses the cache so the caller sees the outage
-  // instead of unboundedly stale data.
+  // view says down), CMCache serves stats and fully-cached reads from the
+  // MCD array instead of failing, whenever a ServerHealth is wired
+  // (CmCacheXlator::set_server_health). This bounds how long after the
+  // server went down cached answers may still be served. Beyond it, CMCache
+  // bypasses the cache so the caller sees the outage instead of unboundedly
+  // stale data.
   SimDuration brownout_max_staleness = 2000 * kMilli;
 
   // --- durable write-back into the MCD tier (DESIGN.md §5j) ---
@@ -130,6 +114,11 @@ inline constexpr net::Backoff kMcdBackoff{200 * kMicro, 5 * kMilli};
 // Eject an MCD after this many consecutive unclean failures.
 inline constexpr std::size_t kMcdEjectAfter = 3;
 
+// Upper bound on MCD daemons a deployment may use: the size of the
+// consistent hash ring. HashScheme::kConsistent places no key on a daemon
+// at or above it.
+inline constexpr std::size_t kMaxMcds = 16;
+
 // Which side of the IMCa protocol a client serves. The reader (CMCache)
 // degrades to the server on any MCD trouble; the writer (SMCache) must make
 // every publish/purge reach a clean outcome, or stale blocks could survive
@@ -152,10 +141,7 @@ inline mcclient::McClientParams make_mcclient_params(
     params.backoff = kMcdBackoff;
     params.eject_after = kMcdEjectAfter;
     params.retry_dead_interval = cfg.mcd_retry_dead_interval;
-    if (role == McRole::kWriter) {
-      params.reliable_mutations = true;
-      params.delete_bypasses_ejection = true;
-    }
+    params.writer = role == McRole::kWriter;
   } else {
     // Seed behaviour: single attempt, no ejection-by-streak, dead stays dead.
     params.get_attempts = 1;
@@ -174,7 +160,7 @@ inline std::unique_ptr<mcclient::ServerSelector> make_selector(
     case HashScheme::kModulo:
       return std::make_unique<mcclient::ModuloSelector>();
     case HashScheme::kConsistent:
-      return std::make_unique<mcclient::ConsistentSelector>(cfg.max_mcds);
+      return std::make_unique<mcclient::ConsistentSelector>(kMaxMcds);
   }
   return std::make_unique<mcclient::Crc32Selector>();
 }

@@ -67,9 +67,7 @@ sim::Task<Expected<ByteBuf>> McClient::call(std::size_t server,
                                             ReplyShape shape) {
   net::PeerHealth& health = health_[server];
   if (health.down()) {
-    const bool bypass =
-        op == OpKind::kDelete && params_.delete_bypasses_ejection;
-    if (bypass) {
+    if (params_.writer && op == OpKind::kDelete) {
       ++stats_.bypass_deletes;
     } else if (health.probe_due(loop().now())) {
       // Push the next probe out first so concurrent ops don't stampede the
@@ -87,8 +85,7 @@ sim::Task<Expected<ByteBuf>> McClient::call(std::size_t server,
   }
 
   const bool reliable =
-      params_.reliable_mutations &&
-      (op == OpKind::kMutation || op == OpKind::kDelete);
+      params_.writer && (op == OpKind::kMutation || op == OpKind::kDelete);
   const std::size_t attempts = std::max<std::size_t>(
       1, reliable ? params_.mutation_attempts : params_.get_attempts);
 

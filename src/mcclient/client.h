@@ -23,10 +23,9 @@
 //   * reintegration probes every `retry_dead_interval`, with a mandatory
 //     purge-on-rejoin (flush the daemon, then mark it alive) so a revived
 //     daemon can never serve blocks from before its crash window;
-//   * writer mode (`reliable_mutations`): sets/deletes retry until a clean
-//     outcome so a purge is never silently lost, and deletes bypass the
-//     ejection list (`delete_bypasses_ejection`) to kill stale copies on a
-//     daemon that restarted behind the writer's back.
+//   * writer mode (`writer`): sets/deletes retry until a clean outcome so a
+//     purge is never silently lost, and deletes bypass the ejection list to
+//     kill stale copies on a daemon that restarted behind the writer's back.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +97,7 @@ struct McClientParams {
   SimDuration op_timeout = 0;
   // Attempts per get/stat-shaped op (1 = no retry).
   std::size_t get_attempts = 1;
-  // Attempts per mutation when `reliable_mutations` is set.
+  // Attempts per mutation in writer mode.
   std::size_t mutation_attempts = 1;
   // Backoff before retry k (0-based): min(base * 2^k, cap).
   net::Backoff backoff{200 * kMicro, 5 * kMilli};
@@ -107,17 +106,17 @@ struct McClientParams {
   // Probe an ejected server for rejoin after this long; 0 = never (a dead
   // server stays dead, as in the original client).
   SimDuration retry_dead_interval = 0;
-  // Writer mode: retry mutations until a clean outcome (success or refusal)
-  // instead of ejecting on unclean ones. A refusal means the daemon lost its
-  // contents with the crash, so skipping the publish/purge is safe; an
-  // unclean outcome means it may still hold the item, so give up only after
-  // `mutation_attempts` tries.
-  bool reliable_mutations = false;
-  // Writer mode: send deletes even to servers marked dead. A daemon that
-  // restarted behind this client's back may hold a freshly repaired copy of
-  // a block the writer is invalidating; the bypass delete kills it (and a
-  // successful one doubles as a rejoin probe).
-  bool delete_bypasses_ejection = false;
+  // Writer mode (the SMCache and write-back side of IMCa):
+  //   * retry mutations until a clean outcome (success or refusal) instead
+  //     of ejecting on unclean ones. A refusal means the daemon lost its
+  //     contents with the crash, so skipping the publish/purge is safe; an
+  //     unclean outcome means it may still hold the item, so give up only
+  //     after `mutation_attempts` tries;
+  //   * send deletes even to servers marked dead. A daemon that restarted
+  //     behind this client's back may hold a freshly repaired copy of a
+  //     block the writer is invalidating; the bypass delete kills it (and a
+  //     successful one doubles as a rejoin probe).
+  bool writer = false;
 };
 
 class McClient {

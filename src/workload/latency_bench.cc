@@ -1,6 +1,7 @@
 #include "workload/latency_bench.h"
 
 #include <cassert>
+#include <string>
 
 #include "sim/sync.h"
 
@@ -30,8 +31,8 @@ sim::Task<void> client_body(sim::EventLoop& loop,
                             Accumulator& acc) {
   const bool is_root = client_index == 0;
   const std::string path =
-      opt.shared_file ? opt.file_prefix + "/shared"
-                      : opt.file_prefix + "/c" + std::to_string(client_index);
+      opt.shared_file ? std::string("/bench/lat/shared")
+                      : "/bench/lat/c" + std::to_string(client_index);
 
   // --- setup: root creates the shared file; everyone else opens it.
   fsapi::OpenFile file{};

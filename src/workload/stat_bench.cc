@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "sim/sync.h"
 
 namespace imca::workload {
 namespace {
+
+std::string file_path(std::size_t i) {
+  return "/bench/statfiles/f" + std::to_string(i);
+}
 
 sim::Task<void> stat_client(sim::EventLoop& loop,
                             fsapi::FileSystemClient& fs,
@@ -16,7 +21,7 @@ sim::Task<void> stat_client(sim::EventLoop& loop,
   // Stage one (untimed): the first client materializes the file set.
   if (client_index == 0) {
     for (std::size_t i = 0; i < opt.n_files; ++i) {
-      auto f = co_await fs.create(opt.file_prefix + std::to_string(i));
+      auto f = co_await fs.create(file_path(i));
       assert(f.has_value());
       (void)co_await fs.close(*f);
     }
@@ -32,7 +37,7 @@ sim::Task<void> stat_client(sim::EventLoop& loop,
   const SimTime t0 = loop.now();
   for (std::size_t k = 0; k < opt.n_files; ++k) {
     const std::size_t i = (start + k) % opt.n_files;
-    auto st = co_await fs.stat(opt.file_prefix + std::to_string(i));
+    auto st = co_await fs.stat(file_path(i));
     assert(st.has_value());
     (void)st;
     ++total;

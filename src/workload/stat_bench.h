@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "fsapi/filesystem.h"
@@ -21,7 +20,6 @@ namespace imca::workload {
 
 struct StatOptions {
   std::size_t n_files = 16384;  // scaled from the paper's 262144
-  std::string file_prefix = "/bench/statfiles/f";
 };
 
 struct StatResult {

@@ -89,13 +89,13 @@ class DistributeTest : public ::testing::Test {
     }
   }
 
-  void build(gluster::DistributeParams dp = {}) {
+  void build() {
     std::vector<std::unique_ptr<gluster::ProtocolClient>> subvols;
     for (std::size_t i = 0; i < kBricks; ++i) {
       subvols.push_back(std::make_unique<gluster::ProtocolClient>(
           rpc_, kClientNode, i));
     }
-    dht_ = std::make_unique<gluster::DistributeXlator>(std::move(subvols), dp);
+    dht_ = std::make_unique<gluster::DistributeXlator>(std::move(subvols));
   }
 
   std::unique_ptr<gluster::ProtocolClient> spare_conn() {

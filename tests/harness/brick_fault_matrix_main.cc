@@ -64,7 +64,6 @@ imca::harness::ReplayConfig base_config(std::uint64_t seed) {
   cfg.client.protocol.op_deadline = 60 * kMilli;
   cfg.client.protocol.attempt_timeout = 20 * kMilli;
   cfg.client.protocol.backoff = {1 * kMilli, 4 * kMilli};
-  cfg.client.protocol.eject_after = 3;
   cfg.client.protocol.probe_interval = 5 * kMilli;
   cfg.faults.seed = seed;
   return cfg;

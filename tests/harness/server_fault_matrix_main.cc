@@ -55,7 +55,6 @@ imca::harness::ReplayConfig base_config(std::uint64_t seed) {
   cfg.client.protocol.op_deadline = 400 * kMilli;
   cfg.client.protocol.attempt_timeout = 40 * kMilli;
   cfg.client.protocol.backoff = {1 * kMilli, 8 * kMilli};
-  cfg.client.protocol.eject_after = 3;
   cfg.client.protocol.probe_interval = 5 * kMilli;
   cfg.faults.seed = seed;
   return cfg;

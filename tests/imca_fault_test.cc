@@ -287,7 +287,6 @@ TEST(ImcaFault, BrickCrashInsideCoveredPublishWindow) {
     tc.client.protocol.op_deadline = 400 * kMilli;
     tc.client.protocol.attempt_timeout = 40 * kMilli;
     tc.client.protocol.backoff = {1 * kMilli, 8 * kMilli};
-    tc.client.protocol.eject_after = 3;
     tc.client.protocol.probe_interval = 5 * kMilli;
     GlusterTestbed bed(std::move(tc));
 

@@ -2,7 +2,7 @@
 //  * the same byte stream written through all three file systems reads back
 //    identically (the comparison methodology is only valid if they agree);
 //  * protocol parsers survive random garbage (fuzz-ish determinstic sweep);
-//  * IMCa composed with namespace distribution and stock translators;
+//  * IMCa composed with namespace distribution;
 //  * multi-client sharing through the bank (one writer, many readers);
 //  * threaded SMCache staleness window closes by quiesce time.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "gluster/distribute.h"
 #include "gluster/protocol.h"
-#include "gluster/read_ahead.h"
 #include "memcache/protocol.h"
 
 namespace imca {
@@ -209,28 +208,6 @@ TEST(Composition, ImcaOverDistributedNamespace) {
     bricks_with_files += b->object_store().file_count() > 0;
   }
   EXPECT_GE(bricks_with_files, 2);
-}
-
-TEST(Composition, ReadAheadBelowCmCache) {
-  // Stock translators compose with the IMCa client translator: read-ahead
-  // sits below CMCache and only sees the reads CMCache forwards (misses).
-  GlusterTestbedConfig cfg;
-  cfg.n_mcds = 1;
-  GlusterTestbed tb(cfg);
-  // (The testbed stacks CMCache last; push read-ahead first by rebuilding a
-  // plain client here.)
-  sim::EventLoop& loop = tb.loop();
-  (void)loop;
-  tb.run([](GlusterTestbed& t) -> Task<void> {
-    auto& fs = t.client(0);
-    auto f = co_await fs.create("/ra/file");
-    (void)co_await fs.write(*f, 0, Buffer::zeros(64 * kKiB));
-    for (std::uint64_t off = 0; off < 64 * kKiB; off += 2 * kKiB) {
-      auto r = co_await fs.read(*f, off, 2 * kKiB);
-      EXPECT_TRUE(r.has_value());
-    }
-    EXPECT_EQ(t.cmcache(0).stats().reads_forwarded, 0u);
-  }(tb));
 }
 
 TEST(Sharing, OneWriterManyReadersThroughBank) {

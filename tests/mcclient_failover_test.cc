@@ -313,8 +313,8 @@ TEST_F(FailoverTest, ReliableMutationRetriesUntilClean) {
   p.op_timeout = 2 * kMilli;
   p.mutation_attempts = 64;
   p.backoff.base = 200 * kMicro;
-  p.eject_after = 2;  // would fire quickly if reliable mode didn't suppress it
-  p.reliable_mutations = true;
+  p.eject_after = 2;  // would fire quickly if writer mode didn't suppress it
+  p.writer = true;
   McClient c(rpc_, client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);
 
@@ -345,8 +345,7 @@ TEST_F(FailoverTest, DeleteBypassesEjectionAndRejoins) {
   McClientParams p;
   p.op_timeout = 2 * kMilli;
   p.mutation_attempts = 8;
-  p.reliable_mutations = true;
-  p.delete_bypasses_ejection = true;
+  p.writer = true;
   p.retry_dead_interval = 0;  // isolate the bypass from timed probes
   McClient c(rpc_, client_node_, server_ids_,
              std::make_unique<Crc32Selector>(), p);

@@ -113,7 +113,6 @@ TEST_F(ServerFaultTest, ScheduledCrashWindowRiddenOutByRetries) {
   cp.protocol.op_deadline = 400 * kMilli;
   cp.protocol.attempt_timeout = 40 * kMilli;
   cp.protocol.backoff = {1 * kMilli, 8 * kMilli};
-  cp.protocol.eject_after = 3;
   cp.protocol.probe_interval = 5 * kMilli;
   build({}, cp);
   server_->schedule_crash(5 * kMilli, 25 * kMilli);
@@ -483,7 +482,6 @@ TEST(ServerBrownout, CacheServesWithinBoundThenStepsAside) {
   cluster::GlusterTestbedConfig cfg;
   cfg.n_mcds = 1;
   cfg.smcache = true;
-  cfg.imca.brownout = true;
   cfg.imca.brownout_max_staleness = 100 * kMilli;
   // The attempt timeout must clear a ~12 ms cold-disk access or the healthy
   // warm-up ops would spuriously time out; the refusal probes after the

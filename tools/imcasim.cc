@@ -8,7 +8,7 @@
 //   imcasim --system=imca --mcds=2 --workload=stat --files=20000 --csv
 //
 // Run `imcasim --help` for every knob. All runs are deterministic.
-#include <charconv>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,8 +19,10 @@
 
 #include "cluster/testbed.h"
 #include "common/buffer.h"
+#include "common/parse_number.h"
 #include "common/stat_fields.h"
 #include "common/table.h"
+#include "imca/block_mapper.h"
 #include "workload/iozone.h"
 #include "workload/latency_bench.h"
 #include "workload/stat_bench.h"
@@ -43,15 +45,13 @@ struct Options {
   bool threaded = false;          // SMCache worker thread
   bool rdma_cache = false;        // verbs path to the MCDs
   bool no_partial_hit = false;    // paper baseline: forward on any miss
-  bool no_read_repair = false;    // don't push fetched blocks to the MCDs
-  bool no_coalesce = false;       // don't single-flight concurrent fetches
   bool cold = false;              // lustre: unmount before reads
   std::uint64_t max_record = 64 * kKiB;
   std::size_t records = 128;
   std::size_t files = 4096;       // stat workload
-  std::uint64_t file_mb = 32;     // iozone
-  std::uint64_t mcd_mb = 0;       // 0 = default 6 GB
-  std::uint64_t server_cache_mb = 0;  // 0 = default
+  std::uint64_t file_bytes = 32 * kMiB;   // iozone, --file-mb
+  std::uint64_t mcd_bytes = 0;           // --mcd-mb; 0 = default 6 GB
+  std::uint64_t server_cache_bytes = 0;  // --server-cache-mb; 0 = default
   bool csv = false;
 
   // --- MCD fault plan (imca only; DESIGN.md §5d) ---
@@ -60,29 +60,30 @@ struct Options {
   double fault_timeout = 0;  // P(reply lost after the daemon executed)
   double fault_slow = 0;     // P(reply delayed by --fault-slow-ms)
   double fault_short = 0;    // P(reply truncated to a strict prefix)
-  std::uint64_t fault_slow_ms = 2;
+  SimDuration fault_slow_delay = 2 * kMilli;  // --fault-slow-ms
   std::vector<net::CrashEvent> crashes;  // --crash-mcd=i@ms[:ms]
-  // ~0 = auto: 2 ms whenever any fault flag is present, otherwise off.
-  std::uint64_t mcd_timeout_ms = ~0ull;
+  // --mcd-timeout-ms. Unset = auto: 2 ms whenever any fault flag is
+  // present, otherwise off.
+  std::optional<SimDuration> mcd_timeout;
 
   // --- durable write-back (imca only; DESIGN.md §5j) ---
   bool writeback = false;          // absorb writes into the MCD tier
   std::size_t wb_replicas = 2;     // K dirty copies per absorbed write
   std::size_t wb_quorum = 2;       // MCD acks required before the write acks
-  std::uint64_t wb_flush_delay_ms = 0;  // coalescing window (--wb-flush-delay)
+  SimDuration wb_flush_delay = 0;  // coalescing window (--wb-flush-delay)
 
   // --- file-server fault plan (imca/gluster; DESIGN.md §5f) ---
   std::vector<net::ServerCrashEvent> server_crashes;  // --crash-server=ms[:ms]
-  std::uint64_t server_slow_ms = 0;        // --server-slow=MS
-  std::uint64_t wb_flush_deadline_ms = 0;  // --wb-flush-deadline=MS
+  SimDuration server_slow = 0;        // --server-slow=MS
+  SimDuration wb_flush_deadline = 0;  // --wb-flush-deadline=MS
 
   bool any_fault() const {
     return fault_drop > 0 || fault_timeout > 0 || fault_slow > 0 ||
            fault_short > 0 || !crashes.empty();
   }
   bool any_server_fault() const {
-    return !server_crashes.empty() || server_slow_ms > 0 ||
-           wb_flush_deadline_ms > 0;
+    return !server_crashes.empty() || server_slow > 0 ||
+           wb_flush_deadline > 0;
   }
 };
 
@@ -100,13 +101,13 @@ struct Options {
       "  --replicas=K      AFR replicas per group (imca/gluster; default 1;\n"
       "                    the grid runs N*K brick servers)\n"
       "  --ds=N            data servers (lustre; default 1)\n"
-      "  --block=BYTES     IMCa block size (default 2048)\n"
+      "  --block=BYTES     IMCa block size (default 2048; block, key and\n"
+      "                    item header must fit a 1 MiB memcached item)\n"
       "  --hash=crc32|modulo|consistent     key->MCD placement\n"
+      "                    (consistent: at most 16 MCDs, the ring size)\n"
       "  --threaded        SMCache worker-thread updates\n"
       "  --rdma-cache      reach the MCDs over native verbs\n"
       "  --no-partial-hit  forward whole reads on any block miss (paper)\n"
-      "  --no-read-repair  disable client-side read-repair of missed blocks\n"
-      "  --no-coalesce     disable single-flight read coalescing\n"
       "  --cold            lustre: drop client caches before reads\n"
       "  --max-record=BYTES  latency sweep ceiling (default 65536)\n"
       "  --records=N         records per size (default 128)\n"
@@ -143,8 +144,9 @@ struct Options {
       "                      (imca; arms the 2 ms MCD deadline by default)\n"
       "  --wb-replicas=K     dirty copies per absorbed write (default 2)\n"
       "  --wb-quorum=K       MCD acks required before a write acks\n"
-      "                      (default 2; short of it, writes degrade to\n"
-      "                      write-through and are counted)\n"
+      "                      (default 2; 1..min(--wb-replicas, --mcds);\n"
+      "                      short of it, writes degrade to write-through\n"
+      "                      and are counted)\n"
       "  --wb-flush-delay=MS coalescing window before a path's first flush\n"
       "                      pass (barriers bypass it; default 0)\n");
   std::exit(code);
@@ -161,21 +163,6 @@ std::optional<std::string> flag_value(const char* arg, const char* name) {
 [[noreturn]] void bad_value(const char* name, const char* want) {
   std::fprintf(stderr, "%s wants %s\n", name, want);
   usage(2);
-}
-
-// All of `s` as one decimal number: no leading space or '+', no trailing
-// junk, no overflow, and no '-' for an unsigned `out`.
-template <class T>
-bool parse_number(std::string_view s, T& out) {
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && end == s.data() + s.size();
-}
-
-bool parse_ms(std::string_view s, SimTime& out) {
-  std::uint64_t ms = 0;
-  if (!parse_number(s, ms) || ms > ~SimTime{0} / kMilli) return false;
-  out = ms * kMilli;
-  return true;
 }
 
 // `i@ms[:ms]` when `indexed`, else `ms[:ms]`: what dies, when, and when it
@@ -196,10 +183,12 @@ std::optional<CrashSpec> parse_crash(std::string_view v, bool indexed) {
     v.remove_prefix(at + 1);
   }
   const auto colon = v.find(':');
-  if (!parse_ms(v.substr(0, colon), c.at)) return std::nullopt;
+  if (!parse_scaled(v.substr(0, colon), kMilli, c.at)) return std::nullopt;
   if (colon != v.npos) {
     SimTime restart = 0;
-    if (!parse_ms(v.substr(colon + 1), restart)) return std::nullopt;
+    if (!parse_scaled(v.substr(colon + 1), kMilli, restart)) {
+      return std::nullopt;
+    }
     c.restart_at = restart;
   }
   return c;
@@ -213,8 +202,6 @@ Options parse(int argc, char** argv) {
     if (!std::strcmp(a, "--threaded")) { o.threaded = true; continue; }
     if (!std::strcmp(a, "--rdma-cache")) { o.rdma_cache = true; continue; }
     if (!std::strcmp(a, "--no-partial-hit")) { o.no_partial_hit = true; continue; }
-    if (!std::strcmp(a, "--no-read-repair")) { o.no_read_repair = true; continue; }
-    if (!std::strcmp(a, "--no-coalesce")) { o.no_coalesce = true; continue; }
     if (!std::strcmp(a, "--writeback")) { o.writeback = true; continue; }
     if (!std::strcmp(a, "--cold")) { o.cold = true; continue; }
     if (!std::strcmp(a, "--csv")) { o.csv = true; continue; }
@@ -225,6 +212,17 @@ Options parse(int argc, char** argv) {
     const auto num = [&](const char* name, auto& out) {
       if (auto v = flag_value(a, name)) {
         if (!parse_number(*v, out)) bad_value(name, "a non-negative integer");
+        matched = true;
+      }
+    };
+    // A count of `unit`s, stored as the product (bytes or nanoseconds).
+    const auto scaled = [&](const char* name, std::uint64_t unit, auto& out) {
+      if (auto v = flag_value(a, name)) {
+        std::uint64_t product = 0;
+        if (!parse_scaled(*v, unit, product)) {
+          bad_value(name, "a non-negative integer that does not overflow");
+        }
+        out = product;
         matched = true;
       }
     };
@@ -270,17 +268,17 @@ Options parse(int argc, char** argv) {
     num("--max-record", o.max_record);
     num("--records", o.records);
     num("--files", o.files);
-    num("--file-mb", o.file_mb);
-    num("--mcd-mb", o.mcd_mb);
-    num("--server-cache-mb", o.server_cache_mb);
+    scaled("--file-mb", kMiB, o.file_bytes);
+    scaled("--mcd-mb", kMiB, o.mcd_bytes);
+    scaled("--server-cache-mb", kMiB, o.server_cache_bytes);
     num("--fault-seed", o.fault_seed);
-    num("--fault-slow-ms", o.fault_slow_ms);
-    num("--mcd-timeout-ms", o.mcd_timeout_ms);
-    num("--server-slow", o.server_slow_ms);
+    scaled("--fault-slow-ms", kMilli, o.fault_slow_delay);
+    scaled("--mcd-timeout-ms", kMilli, o.mcd_timeout);
+    scaled("--server-slow", kMilli, o.server_slow);
     num("--wb-replicas", o.wb_replicas);
     num("--wb-quorum", o.wb_quorum);
-    num("--wb-flush-delay", o.wb_flush_delay_ms);
-    num("--wb-flush-deadline", o.wb_flush_deadline_ms);
+    scaled("--wb-flush-delay", kMilli, o.wb_flush_delay);
+    scaled("--wb-flush-deadline", kMilli, o.wb_flush_deadline);
     prob("--fault-drop", o.fault_drop);
     prob("--fault-timeout", o.fault_timeout);
     prob("--fault-slow", o.fault_slow);
@@ -291,6 +289,17 @@ Options parse(int argc, char** argv) {
     }
   }
   if (o.clients == 0) usage(2);
+  if (o.block == 0 || o.block > core::kMaxBlockSize) {
+    const std::string want =
+        "a block size in [1, " + std::to_string(core::kMaxBlockSize) + "]";
+    bad_value("--block", want.c_str());
+  }
+  if (o.hash == "consistent" && o.mcds > core::kMaxMcds) {
+    // The ring holds kMaxMcds daemons; any beyond it would get no keys.
+    const std::string want = "at most " + std::to_string(core::kMaxMcds) +
+                             " daemons with --hash=consistent";
+    bad_value("--mcds", want.c_str());
+  }
   return o;
 }
 
@@ -353,21 +362,25 @@ Rig build(const Options& o) {
     cfg.imca.threaded_updates = o.threaded;
     cfg.imca.rdma_cache_path = o.rdma_cache;
     cfg.imca.partial_hit_reads = !o.no_partial_hit;
-    cfg.imca.client_read_repair = !o.no_read_repair;
-    cfg.imca.coalesce_reads = !o.no_coalesce;
     if (o.writeback) {
       if (o.system != "imca" || o.mcds == 0) {
         std::fprintf(stderr, "--writeback needs --system=imca with MCDs\n");
         usage(2);
       }
+      // Each write lands on min(K, MCDs) daemons; a quorum above that can
+      // never be met, and a quorum of 0 acks with no copy at all.
+      if (o.wb_quorum == 0 ||
+          o.wb_quorum > std::min(o.wb_replicas, o.mcds)) {
+        bad_value("--wb-quorum", "1 <= Q <= min(--wb-replicas, --mcds)");
+      }
       cfg.imca.writeback = true;
       cfg.imca.wb_replicas = o.wb_replicas;
       cfg.imca.wb_quorum = o.wb_quorum;
-      cfg.imca.wb_flush_delay = o.wb_flush_delay_ms * kMilli;
+      cfg.imca.wb_flush_delay = o.wb_flush_delay;
     }
-    if (o.mcd_mb) cfg.mcd_memory = o.mcd_mb * kMiB;
-    if (o.server_cache_mb) {
-      cfg.server.page_cache_bytes = o.server_cache_mb * kMiB;
+    if (o.mcd_bytes) cfg.mcd_memory = o.mcd_bytes;
+    if (o.server_cache_bytes) {
+      cfg.server.page_cache_bytes = o.server_cache_bytes;
     }
     for (const auto& c : o.crashes) {
       if (c.mcd >= cfg.n_mcds) {
@@ -381,7 +394,7 @@ Rig build(const Options& o) {
     cfg.faults.spec.drop_reply = o.fault_timeout;
     cfg.faults.spec.slow_reply = o.fault_slow;
     cfg.faults.spec.short_read = o.fault_short;
-    cfg.faults.spec.slow_delay = o.fault_slow_ms * kMilli;
+    cfg.faults.spec.slow_delay = o.fault_slow_delay;
     cfg.faults.crashes = o.crashes;
     for (const auto& c : o.server_crashes) {
       if (c.brick >= o.bricks * o.replicas) {
@@ -392,14 +405,14 @@ Rig build(const Options& o) {
       }
     }
     cfg.faults.server_crashes = o.server_crashes;
-    if (o.server_slow_ms > 0) {
+    if (o.server_slow > 0) {
       cfg.faults.server_spec.slow_reply = 0.35;
-      cfg.faults.server_spec.slow_delay = o.server_slow_ms * kMilli;
+      cfg.faults.server_spec.slow_delay = o.server_slow;
     }
-    if (o.wb_flush_deadline_ms > 0) {
+    if (o.wb_flush_deadline > 0) {
       cfg.server.write_behind = true;
       cfg.server.wb.flush_before_ack = true;
-      cfg.server.wb.flush_deadline = o.wb_flush_deadline_ms * kMilli;
+      cfg.server.wb.flush_deadline = o.wb_flush_deadline;
     }
     if (o.any_server_fault()) {
       // Brick faults without retries surface as hard workload errors; arm
@@ -413,11 +426,10 @@ Rig build(const Options& o) {
       cfg.client.protocol.attempt_timeout =
           o.replicas > 1 ? 20 * kMilli : 40 * kMilli;
       cfg.client.protocol.backoff = {1 * kMilli, 8 * kMilli};
-      cfg.client.protocol.eject_after = 3;
       cfg.client.protocol.probe_interval = 5 * kMilli;
     }
-    if (o.mcd_timeout_ms != ~0ull) {
-      cfg.imca.mcd_op_timeout = o.mcd_timeout_ms * kMilli;
+    if (o.mcd_timeout) {
+      cfg.imca.mcd_op_timeout = *o.mcd_timeout;
     } else if (cfg.faults.active() || o.writeback) {
       // Faults without a deadline would ride the transport's 200 ms give-up;
       // arm the failover machinery with a sane default instead.
@@ -434,7 +446,7 @@ Rig build(const Options& o) {
     cfg.n_clients = o.clients;
     cfg.n_ds = o.ds;
     cfg.transport = transport_of(o);
-    if (o.server_cache_mb) cfg.ds.page_cache_bytes = o.server_cache_mb * kMiB;
+    if (o.server_cache_bytes) cfg.ds.page_cache_bytes = o.server_cache_bytes;
     rig.lustre = std::make_unique<cluster::LustreTestbed>(cfg);
   } else if (o.system == "nfs") {
     if (o.any_fault() || o.any_server_fault()) {
@@ -445,8 +457,8 @@ Rig build(const Options& o) {
     cluster::NfsTestbedConfig cfg;
     cfg.n_clients = o.clients;
     cfg.transport = transport_of(o);
-    if (o.server_cache_mb) {
-      cfg.server.page_cache_bytes = o.server_cache_mb * kMiB;
+    if (o.server_cache_bytes) {
+      cfg.server.page_cache_bytes = o.server_cache_bytes;
     }
     rig.nfs = std::make_unique<cluster::NfsTestbed>(cfg);
   } else {
@@ -503,7 +515,7 @@ int run_stat(Rig& rig, const Options& o) {
 
 int run_iozone(Rig& rig, const Options& o) {
   workload::IozoneOptions opt;
-  opt.file_bytes = o.file_mb * kMiB;
+  opt.file_bytes = o.file_bytes;
   if (o.cold && rig.lustre) {
     opt.before_read_phase = [&rig](std::size_t) { rig.lustre->cold_all(); };
   }
@@ -511,7 +523,7 @@ int run_iozone(Rig& rig, const Options& o) {
   Table t({"metric", "value"});
   t.add_row({"threads", Table::cell(static_cast<std::uint64_t>(o.clients))});
   t.add_row({"file_mb_per_thread",
-             Table::cell(static_cast<std::uint64_t>(o.file_mb))});
+             Table::cell(o.file_bytes / kMiB)});
   t.add_row({"write_MBps", Table::cell(r.aggregate_write_mbps, 1)});
   t.add_row({"read_MBps", Table::cell(r.aggregate_read_mbps, 1)});
   print_table(t, o);
