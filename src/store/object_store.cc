@@ -1,6 +1,9 @@
 #include "store/object_store.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "store/page_cache.h"
 
 namespace imca::store {
 
@@ -40,6 +43,12 @@ Expected<Attr> Attr::decode(ByteBuf& in) {
   return a;
 }
 
+namespace {
+
+constexpr std::uint64_t kPage = PageCache::kPageSize;
+
+}  // namespace
+
 Expected<Attr> ObjectStore::create(std::string_view path, SimTime now,
                                    std::uint32_t mode) {
   auto [it, inserted] = files_.try_emplace(std::string(path));
@@ -54,7 +63,7 @@ Expected<Attr> ObjectStore::create(std::string_view path, SimTime now,
 Expected<void> ObjectStore::unlink(std::string_view path) {
   auto it = files_.find(path);
   if (it == files_.end()) return Errc::kNoEnt;
-  total_bytes_ -= it->second.data.size();
+  total_bytes_ -= it->second.attr.size;
   files_.erase(it);
   return {};
 }
@@ -69,6 +78,19 @@ Expected<Attr> ObjectStore::stat(std::string_view path) const {
   return it->second.attr;
 }
 
+void ObjectStore::resize(File& f, std::uint64_t size) {
+  total_bytes_ = total_bytes_ - f.attr.size + size;
+  const bool shrink = size < f.attr.size;
+  f.attr.size = size;
+  f.pages.resize(static_cast<std::size_t>((size + kPage - 1) / kPage));
+  if (!shrink || f.pages.empty()) return;
+  // Copy-on-write the new last page: a page is never mutated, and bytes past
+  // the new EOF must not come back if the file grows again.
+  Segment& last = f.pages.back();
+  const std::uint64_t keep = size - (f.pages.size() - 1) * kPage;
+  if (last.size() > keep) last = Segment::copy_of(last.bytes().first(keep));
+}
+
 Expected<std::uint64_t> ObjectStore::write(std::string_view path,
                                            std::uint64_t offset,
                                            const Buffer& data, SimTime now) {
@@ -76,12 +98,24 @@ Expected<std::uint64_t> ObjectStore::write(std::string_view path,
   if (it == files_.end()) return Errc::kNoEnt;
   File& f = it->second;
   const std::uint64_t end = offset + data.size();
-  if (end > f.data.size()) {
-    total_bytes_ += end - f.data.size();
-    f.data.resize(end);  // zero-fills holes
+  if (end > f.attr.size) resize(f, end);
+  for (std::uint64_t pos = offset; pos < end;) {
+    const std::size_t p = static_cast<std::size_t>(pos / kPage);
+    const std::uint64_t base = p * kPage;
+    const std::size_t lo = pos - base;
+    const std::size_t hi = std::min(end - base, kPage);
+    // The fresh page holds the payload plus whatever of the old page the
+    // write leaves uncovered; anything in between reads as zeros anyway.
+    Buffer old;
+    old.append(BufView(f.pages[p]));
+    std::vector<std::byte> page(std::max(old.size(), hi));
+    const std::span<std::byte> out(page);
+    old.copy_to(0, out.first(std::min(lo, old.size())));
+    data.copy_to(pos - offset, out.subspan(lo, hi - lo));
+    old.copy_to(hi, out.subspan(hi));
+    f.pages[p] = Segment::take(std::move(page));
+    pos = base + hi;
   }
-  data.copy_to(0, std::span<std::byte>(f.data).subspan(offset, data.size()));
-  f.attr.size = f.data.size();
   f.attr.mtime = f.attr.ctime = now;
   return f.attr.size;
 }
@@ -92,9 +126,26 @@ Expected<Buffer> ObjectStore::read(std::string_view path,
   auto it = files_.find(path);
   if (it == files_.end()) return Errc::kNoEnt;
   const File& f = it->second;
-  if (offset >= f.data.size()) return Buffer{};
-  const std::uint64_t n = std::min(len, f.data.size() - offset);
-  return Buffer::copy_of(std::span<const std::byte>(f.data).subspan(offset, n));
+  if (offset >= f.attr.size) return Buffer{};
+  const std::uint64_t end = offset + std::min(len, f.attr.size - offset);
+  Buffer out;
+  std::size_t zeros = 0;  // pending hole bytes, emitted as one segment
+  for (std::uint64_t pos = offset; pos < end;) {
+    const std::size_t p = static_cast<std::size_t>(pos / kPage);
+    const std::size_t in = pos - p * kPage;
+    const std::size_t n = std::min(end - pos, kPage - in);
+    const Segment& page = f.pages[p];
+    const std::size_t have = page.size() > in ? std::min(n, page.size() - in)
+                                              : 0;
+    if (have > 0) {
+      if (zeros > 0) out.append(Buffer::zeros(std::exchange(zeros, 0)));
+      out.append(BufView(page, in, have));
+    }
+    zeros += n - have;
+    pos += n;
+  }
+  if (zeros > 0) out.append(Buffer::zeros(zeros));
+  return out;
 }
 
 Expected<void> ObjectStore::truncate(std::string_view path, std::uint64_t size,
@@ -102,13 +153,7 @@ Expected<void> ObjectStore::truncate(std::string_view path, std::uint64_t size,
   auto it = files_.find(path);
   if (it == files_.end()) return Errc::kNoEnt;
   File& f = it->second;
-  if (size >= f.data.size()) {
-    total_bytes_ += size - f.data.size();
-  } else {
-    total_bytes_ -= f.data.size() - size;
-  }
-  f.data.resize(size);
-  f.attr.size = size;
+  resize(f, size);
   f.attr.mtime = f.attr.ctime = now;
   return {};
 }
@@ -120,7 +165,7 @@ Expected<void> ObjectStore::rename(std::string_view from, std::string_view to,
   if (from == to) return {};
   // Replace any existing target (POSIX semantics).
   if (auto dst = files_.find(to); dst != files_.end()) {
-    total_bytes_ -= dst->second.data.size();
+    total_bytes_ -= dst->second.attr.size;
     files_.erase(dst);
   }
   File moved = std::move(src->second);

@@ -2,9 +2,16 @@
 //
 // This is the ground truth the whole reproduction is checked against: data
 // written through any path (GlusterFS, IMCa, Lustre, NFS) lands here, data
-// read through any path is copied out of here, and the integrity tests
-// compare end-to-end reads against direct ObjectStore contents. Time is
-// never charged here — the disk/page-cache models own all timing.
+// read through any path is a view of it, and the integrity tests compare
+// end-to-end reads against direct ObjectStore contents. Time is never
+// charged here — the disk/page-cache models own all timing.
+//
+// A file is an array of immutable page Segments, PageCache::kPageSize bytes
+// each (the last one, and any page that was last when written, may be
+// shorter). Bytes past a page's end and pages never written are holes and
+// read as zeros. A write builds a fresh page for every page it touches and
+// an overwrite replaces the page, so a Buffer read earlier keeps the bytes
+// it saw, while reads, the wire and the MCD items share the store's pages.
 #pragma once
 
 #include <cstdint>
@@ -60,19 +67,22 @@ class ObjectStore {
 
   Expected<Attr> stat(std::string_view path) const;
 
-  // Write bytes at `offset`, extending the file (holes are zero-filled).
-  // Returns the file's new size. Updates mtime/ctime. The store keeps flat
-  // per-file bytes, so this materializes `data` once (the "iobuf -> disk"
-  // copy in the ledger).
+  // Write bytes at `offset`, extending the file (holes read as zeros).
+  // Returns the file's new size. Updates mtime/ctime. This is the one
+  // materialization of a payload (the "iobuf -> disk" copy in the ledger):
+  // each touched page is rebuilt from `data` plus the old page's bytes the
+  // write leaves uncovered, so an unaligned write copies up to one page.
   Expected<std::uint64_t> write(std::string_view path, std::uint64_t offset,
                                 const Buffer& data, SimTime now);
 
   // Read up to `len` bytes from `offset`; short reads at EOF like POSIX.
-  // Allocates one fresh segment per call (the "disk -> iobuf" copy); every
-  // hop above shares it.
+  // Returns views of the file's pages, with no copy; only holes allocate
+  // (zeros, one segment per run of hole bytes).
   Expected<Buffer> read(std::string_view path, std::uint64_t offset,
                         std::uint64_t len) const;
 
+  // Shrinking copies the new last page's kept bytes, so its old tail reads
+  // as zeros after a later extension.
   Expected<void> truncate(std::string_view path, std::uint64_t size,
                           SimTime now);
 
@@ -89,9 +99,12 @@ class ObjectStore {
 
  private:
   struct File {
-    Attr attr;
-    std::vector<std::byte> data;
+    Attr attr;  // attr.size is the logical size
+    std::vector<Segment> pages;  // ceil(size / kPageSize); empty = hole
   };
+
+  // Set `f`'s size, dropping or adding hole pages.
+  void resize(File& f, std::uint64_t size);
 
   std::map<std::string, File, std::less<>> files_;
   std::uint64_t next_inode_ = 1;

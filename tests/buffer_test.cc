@@ -257,13 +257,13 @@ TEST(CopyBudget, FullyCachedReadCopiesAtMostOnePayload) {
 }
 
 TEST(CopyBudget, ColdPartialHitReadStaysUnderBudget) {
-  // 4 of 8 blocks evicted: the server materializes the missing range once
-  // (ObjectStore read = one counted source copy of 8 KiB); everything else
-  // — cached blocks, wire payloads, assembly, repair — is spliced views.
-  // Budget: the fetched bytes once, plus one block of header slack.
+  // 4 of 8 blocks evicted: the server's ObjectStore read returns views of
+  // the file's pages, and everything else — cached blocks, wire payloads,
+  // assembly, repair — is spliced views too. So the read copies only
+  // protocol header text: well under half the fetched bytes.
   const ReadLedger led = measure_read(kBlocks / 2);
   const std::uint64_t fetched = (kBlocks / 2) * kBlock;
-  EXPECT_LE(led.bytes_copied, fetched + kBlock)
+  EXPECT_LT(led.bytes_copied, fetched / 2)
       << "copied " << led.bytes_copied << " fetched " << fetched;
   EXPECT_EQ(led.gather_calls, 0u);
 }

@@ -21,13 +21,10 @@
 // (server_fault_test.cc), where "acked" and "lost" can be told apart.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/units.h"
 #include "harness/workload_harness.h"
-#include "sim/event_loop.h"
 
 namespace {
 
@@ -64,22 +61,7 @@ imca::harness::ReplayConfig base_config(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--shake=", 8) == 0) {
-      // Schedule-shake validator hook (DESIGN.md Â§5k): deterministically
-      // permute equal-timestamp resume order for every EventLoop this
-      // matrix builds. 0 is bit-for-bit the plain FIFO run (pinned by the
-      // *_shake_zero_diff ctests); non-zero seeds are the interleaving
-      // search the imca_shake_matrix suite sweeps.
-      imca::sim::set_default_tie_shake(
-          std::strtoull(argv[i] + 8, nullptr, 10));
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed=N] [--shake=N]\n", argv[0]);
-      return 2;
-    }
-  }
+  if (!imca::harness::parse_matrix_args(argc, argv, seed)) return 2;
 
   constexpr std::size_t kOps = 120;
 

@@ -4,11 +4,14 @@
 #include <array>
 #include <cstdio>
 #include <optional>
+#include <string_view>
 
 #include "common/bytebuf.h"
 #include "common/errc.h"
+#include "common/parse_number.h"
 #include "common/rng.h"
 #include "harness/shrink.h"
+#include "sim/event_loop.h"
 
 namespace imca::harness {
 
@@ -506,6 +509,28 @@ std::string format_trace(const std::vector<Op>& trace) {
     out += "  [" + std::to_string(i) + "] " + format_op(trace[i]) + "\n";
   }
   return out;
+}
+
+bool parse_matrix_args(int argc, char** argv, std::uint64_t& seed) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    std::uint64_t shake = 0;
+    if (arg.starts_with("--seed=") && parse_number(arg.substr(7), seed)) {
+      continue;
+    }
+    if (arg.starts_with("--shake=") && parse_number(arg.substr(8), shake)) {
+      // Schedule-shake validator hook (DESIGN.md §5k): deterministically
+      // permute equal-timestamp resume order for every EventLoop this
+      // matrix builds. 0 is bit-for-bit the plain FIFO run (pinned by the
+      // *_shake_zero_diff ctests); non-zero seeds are the interleaving
+      // search the imca_shake_matrix suite sweeps.
+      sim::set_default_tie_shake(shake);
+      continue;
+    }
+    std::fprintf(stderr, "usage: %s [--seed=N] [--shake=N]\n", argv[0]);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace imca::harness

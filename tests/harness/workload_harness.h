@@ -123,4 +123,9 @@ ReplayResult run_seeded(std::uint64_t seed, std::size_t n_ops,
 std::string format_op(const Op& op);
 std::string format_trace(const std::vector<Op>& trace);
 
+// The fault-matrix mains' flags: `--seed=N` and `--shake=N`, each wholly a
+// number (common/parse_number.h). Sets `seed` and the default tie shake;
+// on anything else prints usage and returns false, and the main exits 2.
+bool parse_matrix_args(int argc, char** argv, std::uint64_t& seed);
+
 }  // namespace imca::harness

@@ -2,19 +2,26 @@
 //  * PageCache behaves exactly like a reference LRU over (file,page) keys
 //    under random op sequences — trace-based, so a failure is shrunk to a
 //    minimal op sequence (tests/harness/shrink.h) and printed with its seed;
+//  * ObjectStore behaves exactly like flat per-file byte vectors under random
+//    write/read/truncate/rename sequences, and a Buffer read earlier keeps
+//    its bytes whatever the file does later (same shrink-and-print style);
 //  * SlabAllocator accounting invariants hold under random alloc/free churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <list>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/rng.h"
 #include "harness/shrink.h"
 #include "memcache/slab.h"
+#include "store/object_store.h"
 #include "store/page_cache.h"
 
 namespace imca {
@@ -237,6 +244,220 @@ TEST_P(PageCacheVsLru, RandomOpsMatchReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, PageCacheVsLru,
                          ::testing::Values(1, 4, 16, 64));
+
+// --- trace-based ObjectStore-vs-flat-vector property ---
+//
+// Every op names its file, so any subsequence is a valid trace: a write to a
+// missing file creates it first, and the other ops on a missing file must
+// fail with kNoEnt in the store as they do in the reference.
+
+struct StoreOp {
+  enum class Kind : std::uint8_t { kWrite, kRead, kTruncate, kRename };
+  Kind kind = Kind::kWrite;
+  std::uint8_t file = 0;
+  std::uint8_t to = 0;       // rename target
+  std::uint64_t offset = 0;  // write/read offset, truncate size
+  std::uint64_t len = 0;     // write/read length
+  std::uint8_t fill = 0;     // first payload byte of a write
+};
+
+constexpr const char* kStorePaths[] = {"/a", "/b", "/c"};
+
+std::string format_store_op(const StoreOp& op) {
+  const std::string f = kStorePaths[op.file];
+  switch (op.kind) {
+    case StoreOp::Kind::kWrite:
+      return "W " + f + " @" + std::to_string(op.offset) + " n" +
+             std::to_string(op.len) + " fill" + std::to_string(op.fill);
+    case StoreOp::Kind::kRead:
+      return "R " + f + " @" + std::to_string(op.offset) + " n" +
+             std::to_string(op.len);
+    case StoreOp::Kind::kTruncate:
+      return "T " + f + " " + std::to_string(op.offset);
+    case StoreOp::Kind::kRename:
+      return "M " + f + " -> " + kStorePaths[op.to];
+  }
+  return "?";
+}
+
+std::vector<StoreOp> generate_store_ops(std::uint64_t seed,
+                                        std::size_t n_ops) {
+  constexpr std::uint64_t kPage = store::PageCache::kPageSize;
+  Rng rng(seed);
+  std::vector<StoreOp> ops;
+  ops.reserve(n_ops);
+  for (std::size_t i = 0; i < n_ops; ++i) {
+    StoreOp op;
+    op.file = static_cast<std::uint8_t>(rng.below(std::size(kStorePaths)));
+    // Offsets near page boundaries half the time, anywhere otherwise.
+    op.offset = rng.chance(0.5)
+                    ? rng.below(6) * kPage + rng.below(9) - 4 + kPage
+                    : rng.below(6 * kPage);
+    op.len = rng.chance(0.2) ? rng.below(3 * kPage) : rng.below(300);
+    op.fill = static_cast<std::uint8_t>(rng.below(256));
+    const std::uint64_t pick = rng.below(10);
+    if (pick < 4) {
+      op.kind = StoreOp::Kind::kWrite;
+    } else if (pick < 8) {
+      op.kind = StoreOp::Kind::kRead;
+    } else if (pick < 9) {
+      op.kind = StoreOp::Kind::kTruncate;
+    } else {
+      op.kind = StoreOp::Kind::kRename;
+      op.to = static_cast<std::uint8_t>(rng.below(std::size(kStorePaths)));
+    }
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+// The bytes of a write: `len` bytes counting up from `fill`.
+std::vector<std::byte> store_payload(const StoreOp& op) {
+  std::vector<std::byte> out(op.len);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>(op.fill + i);
+  }
+  return out;
+}
+
+struct StoreFailure {
+  std::size_t op_index = 0;
+  std::string detail;
+};
+
+std::optional<StoreFailure> replay_store(const std::vector<StoreOp>& trace) {
+  store::ObjectStore os;
+  std::map<std::string, std::vector<std::byte>> ref;
+  // Buffers read earlier, with the bytes they must keep holding.
+  std::vector<std::pair<Buffer, std::vector<std::byte>>> snapshots;
+
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const StoreOp& op = trace[i];
+    const std::string path = kStorePaths[op.file];
+    auto fail = [&](const std::string& what) {
+      return StoreFailure{i, format_store_op(op) + ": " + what};
+    };
+    const bool present = ref.contains(path);
+    switch (op.kind) {
+      case StoreOp::Kind::kWrite: {
+        if (!present) {
+          if (!os.create(path, i)) return fail("create failed");
+          ref[path];
+        }
+        // Two views, so copies out of the payload cross a segment boundary.
+        const std::vector<std::byte> bytes = store_payload(op);
+        const std::size_t cut = bytes.size() / 3;
+        Buffer payload = Buffer::copy_of(std::span(bytes).first(cut));
+        payload.append(Buffer::copy_of(std::span(bytes).subspan(cut)));
+        const auto size = os.write(path, op.offset, payload, i);
+        std::vector<std::byte>& r = ref[path];
+        if (op.offset + op.len > r.size()) r.resize(op.offset + op.len);
+        std::copy(bytes.begin(), bytes.end(),
+                  r.begin() + static_cast<std::ptrdiff_t>(op.offset));
+        if (!size || *size != r.size()) return fail("wrong size returned");
+        break;
+      }
+      case StoreOp::Kind::kRead: {
+        const auto got = os.read(path, op.offset, op.len);
+        if (!present) {
+          if (got || got.error() != Errc::kNoEnt) return fail("expected ENOENT");
+          break;
+        }
+        if (!got) return fail("read failed");
+        const std::vector<std::byte>& r = ref[path];
+        const std::size_t from = std::min<std::size_t>(op.offset, r.size());
+        const std::size_t n = std::min<std::size_t>(op.len, r.size() - from);
+        const std::vector<std::byte> want(
+            r.begin() + static_cast<std::ptrdiff_t>(from),
+            r.begin() + static_cast<std::ptrdiff_t>(from + n));
+        if (!got->content_equals(want)) {
+          return fail("read " + std::to_string(got->size()) +
+                      " bytes that differ from the reference's " +
+                      std::to_string(n));
+        }
+        if (snapshots.size() == 8) snapshots.erase(snapshots.begin());
+        snapshots.emplace_back(*got, want);
+        break;
+      }
+      case StoreOp::Kind::kTruncate: {
+        const auto r = os.truncate(path, op.offset, i);
+        if (!present) {
+          if (r || r.error() != Errc::kNoEnt) return fail("expected ENOENT");
+          break;
+        }
+        if (!r) return fail("truncate failed");
+        ref[path].resize(op.offset);
+        break;
+      }
+      case StoreOp::Kind::kRename: {
+        const std::string to = kStorePaths[op.to];
+        const auto r = os.rename(path, to, i);
+        if (!present) {
+          if (r || r.error() != Errc::kNoEnt) return fail("expected ENOENT");
+          break;
+        }
+        if (!r) return fail("rename failed");
+        if (to != path) {
+          ref[to] = std::move(ref[path]);
+          ref.erase(path);
+        }
+        break;
+      }
+    }
+    std::uint64_t total = 0;
+    for (const auto& [p, bytes] : ref) {
+      const auto st = os.stat(p);
+      if (!st || st->size != bytes.size()) return fail(p + " size differs");
+      total += bytes.size();
+    }
+    if (os.file_count() != ref.size()) return fail("file count differs");
+    if (os.total_bytes() != total) return fail("total_bytes differs");
+    for (const auto& [buf, want] : snapshots) {
+      if (!buf.content_equals(want)) return fail("an earlier read changed");
+    }
+  }
+  return std::nullopt;
+}
+
+class StoreVsFlat : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StoreVsFlat, RandomOpsMatchReferenceModel) {
+  const std::uint64_t seed = GetParam();
+  const auto trace = generate_store_ops(seed, 3000);
+
+  const auto failure = replay_store(trace);
+  if (!failure) return;
+
+  // Ops after the first divergence cannot matter; shrink the prefix down to
+  // single ops.
+  const std::vector<StoreOp> prefix(
+      trace.begin(),
+      trace.begin() + static_cast<std::ptrdiff_t>(failure->op_index + 1));
+  const auto minimized = harness::shrink_trace(
+      prefix,
+      [](const std::vector<StoreOp>& candidate) {
+        return replay_store(candidate).has_value();
+      },
+      /*max_rounds=*/16);
+  std::string dump;
+  for (std::size_t i = 0; i < minimized.size(); ++i) {
+    dump += "  [" + std::to_string(i) + "] " +
+            format_store_op(minimized[i]) + "\n";
+  }
+  std::fprintf(stderr,
+               "StoreVsFlat FAILED: seed=%llu op %llu: %s\n"
+               "minimized trace (%llu ops):\n%s",
+               static_cast<unsigned long long>(seed),
+               static_cast<unsigned long long>(failure->op_index),
+               failure->detail.c_str(),
+               static_cast<unsigned long long>(minimized.size()),
+               dump.c_str());
+  FAIL() << "op " << failure->op_index << ": " << failure->detail
+         << " (seed " << seed << ", minimized to " << minimized.size()
+         << " ops above)";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreVsFlat, ::testing::Values(1, 2, 3, 4));
 
 TEST(SlabProperty, AccountingInvariantsUnderChurn) {
   memcache::SlabAllocator slabs(8 * kMiB);

@@ -276,6 +276,91 @@ TEST(ObjectStore, TruncateBothWays) {
   EXPECT_EQ(os.read("/f", 0, 10).value().size(), 5u);
 }
 
+// Bytes 'a'..'z' repeating from `from`, so every page of a payload differs.
+Buffer letters(std::size_t n, std::size_t from = 0) {
+  std::string s(n, ' ');
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = static_cast<char>('a' + (from + i) % 26);
+  }
+  return to_buffer(s);
+}
+
+TEST(ObjectStore, UnalignedWriteSpansThreePages) {
+  constexpr std::uint64_t kPage = PageCache::kPageSize;
+  ObjectStore os;
+  ASSERT_TRUE(os.create("/f", 1));
+  // [100, 100 + 2 pages) touches pages 0, 1 and 2.
+  const Buffer payload = letters(2 * kPage);
+  ASSERT_EQ(os.write("/f", 100, payload, 2).value(), 100 + 2 * kPage);
+  const auto before = buffer_stats();
+  const Buffer got = os.read("/f", 100, 2 * kPage).value();
+  // A read is page views: no copy, one view per page it touches.
+  EXPECT_EQ(buffer_stats().bytes_copied, before.bytes_copied);
+  EXPECT_EQ(got.segment_count(), 3u);
+  EXPECT_TRUE(got.content_equals(payload));
+  const Buffer head = os.read("/f", 0, 100).value();
+  EXPECT_EQ(head.size(), 100u);
+  for (auto b : head) EXPECT_EQ(b, std::byte{0});
+}
+
+TEST(ObjectStore, HoleBetweenPagesReadsZeros) {
+  constexpr std::uint64_t kPage = PageCache::kPageSize;
+  ObjectStore os;
+  ASSERT_TRUE(os.create("/f", 1));
+  ASSERT_TRUE(os.write("/f", 0, letters(kPage), 2));
+  ASSERT_TRUE(os.write("/f", 3 * kPage, letters(10), 3));
+  EXPECT_EQ(os.stat("/f").value().size, 3 * kPage + 10);
+  const Buffer all = os.read("/f", 0, 4 * kPage).value();
+  ASSERT_EQ(all.size(), 3 * kPage + 10);
+  EXPECT_TRUE(all.slice(0, kPage).content_equals(letters(kPage)));
+  for (auto b : all.slice(kPage, 2 * kPage)) EXPECT_EQ(b, std::byte{0});
+  EXPECT_TRUE(all.slice(3 * kPage).content_equals(letters(10)));
+}
+
+TEST(ObjectStore, ZeroLengthWriteBeyondEofExtends) {
+  ObjectStore os;
+  ASSERT_TRUE(os.create("/f", 1));
+  ASSERT_TRUE(os.write("/f", 0, to_buffer("abc"), 2));
+  EXPECT_EQ(os.write("/f", 10000, Buffer{}, 3).value(), 10000u);
+  EXPECT_EQ(os.stat("/f").value().size, 10000u);
+  EXPECT_EQ(os.total_bytes(), 10000u);
+  const Buffer all = os.read("/f", 0, 20000).value();
+  ASSERT_EQ(all.size(), 10000u);
+  EXPECT_EQ(to_string(all.slice(0, 3)), "abc");
+  for (auto b : all.slice(3)) EXPECT_EQ(b, std::byte{0});
+}
+
+TEST(ObjectStore, MidPageTruncateThenExtendReadsZeros) {
+  constexpr std::uint64_t kPage = PageCache::kPageSize;
+  ObjectStore os;
+  ASSERT_TRUE(os.create("/f", 1));
+  ASSERT_TRUE(os.write("/f", 0, letters(2 * kPage), 2));
+  ASSERT_TRUE(os.truncate("/f", kPage + 100, 3));
+  // Grow again both ways: by truncate, then by a write past the old EOF.
+  ASSERT_TRUE(os.truncate("/f", kPage + 500, 4));
+  ASSERT_TRUE(os.write("/f", 2 * kPage, to_buffer("z"), 5));
+  const Buffer all = os.read("/f", 0, 3 * kPage).value();
+  ASSERT_EQ(all.size(), 2 * kPage + 1);
+  EXPECT_TRUE(all.slice(0, kPage + 100).content_equals(letters(kPage + 100)));
+  for (auto b : all.slice(kPage + 100, kPage - 100)) {
+    EXPECT_EQ(b, std::byte{0});
+  }
+  EXPECT_EQ(to_string(all.slice(2 * kPage)), "z");
+}
+
+TEST(ObjectStore, ReadBeforeOverwriteKeepsOldBytes) {
+  constexpr std::uint64_t kPage = PageCache::kPageSize;
+  ObjectStore os;
+  ASSERT_TRUE(os.create("/f", 1));
+  ASSERT_TRUE(os.write("/f", 0, letters(2 * kPage), 2));
+  const Buffer old = os.read("/f", 0, 2 * kPage).value();
+  ASSERT_TRUE(os.write("/f", kPage - 2, to_buffer("XXXX"), 3));
+  ASSERT_TRUE(os.truncate("/f", 10, 4));
+  EXPECT_TRUE(old.content_equals(letters(2 * kPage)));
+  EXPECT_EQ(to_string(os.read("/f", 0, kPage).value()),
+            to_string(letters(10)));
+}
+
 TEST(ObjectStore, InodesAreUniqueAndStable) {
   ObjectStore os;
   const auto a = os.create("/a", 1).value().inode;
